@@ -3,9 +3,17 @@
 Two lattices are isomorphic fixing the pinned atoms pointwise (by list
 position) iff their certificates are equal.  The engine runs color
 refinement on the atom/flat incidence structure and then searches the
-remaining color cells, keeping the lexicographically least certificate.
-The full set of automorphisms fixing the pinned atoms is returned as a
-byproduct.
+remaining color cells depth first, keeping the lexicographically least
+certificate and the first leaf that reaches it.
+
+Leaves whose certificate equals the first leaf's or the best leaf's give
+automorphisms, and these prune the search as in nauty (McKay and Piperno,
+*Practical graph isomorphism II*, 2014): a child is skipped, or abandoned
+part way, when an automorphism fixing its parent maps it onto an earlier
+sibling.  Its subtree is then the image of that sibling's, so the least
+certificate and the first leaf reaching it are never pruned.  Only the
+automorphisms found are returned; they generate the whole group of
+automorphisms fixing the pinned atoms.
 """
 
 from __future__ import annotations
@@ -23,7 +31,9 @@ class CanonicalForm:
 
     perm[i] is the canonical position of atom i.  ``automorphisms`` are
     atom permutations (same convention) mapping the flat family to itself
-    while fixing the pinned atoms pointwise.
+    while fixing the pinned atoms pointwise.  They are generators, not the
+    closed group: every automorphism is a product of them, and the
+    identity is never listed.
     """
 
     certificate: bytes
@@ -45,23 +55,30 @@ def _apply_perm(masks, perm):
     return tuple(out)
 
 
-def _refine(lat: GeometricLattice, colors):
+def _incidence(lat: GeometricLattice):
+    """(rank, atoms) of every flat and the flats of every atom, in index
+    order: what refinement reads of the lattice."""
+    flats = [(lat.ranks[f], tuple(_mask_atoms(m)))
+             for f, m in enumerate(lat.flat_masks)]
+    atom_flats = [[] for _ in range(lat.n_atoms)]
+    for f, (_, atoms) in enumerate(flats):
+        for i in atoms:
+            atom_flats[i].append(f)
+    return flats, atom_flats
+
+
+def _refine(incidence, colors):
     """Iterated color refinement over the atom/flat incidence bigraph."""
-    n = lat.n_atoms
-    masks = lat.flat_masks
-    ranks = lat.ranks
+    flats, atom_flats = incidence
     while True:
-        sigs = [(ranks[f], tuple(sorted(colors[i] for i in _mask_atoms(m))))
-                for f, m in enumerate(masks)]
+        sigs = [(r, tuple(sorted([colors[i] for i in atoms])))
+                for r, atoms in flats]
         # ids must follow the canonical order of the signatures themselves,
         # not the enumeration order, or certificates depend on presentation
         sig_order = {s: k for k, s in enumerate(sorted(set(sigs)))}
         flat_sig_ids = [sig_order[s] for s in sigs]
-        atom_sigs = []
-        for i in range(n):
-            bit = 1 << i
-            prof = sorted(flat_sig_ids[f] for f, m in enumerate(masks) if m & bit)
-            atom_sigs.append((colors[i], tuple(prof)))
+        atom_sigs = [(c, tuple(sorted([flat_sig_ids[f] for f in fs])))
+                     for c, fs in zip(colors, atom_flats)]
         new_ids = {}
         for sig in sorted(set(atom_sigs)):
             new_ids[sig] = len(new_ids)
@@ -78,41 +95,122 @@ def _cells(colors):
     return [cells[c] for c in sorted(cells)]
 
 
-def _search(lat, colors, best):
-    """Enumerate candidate canonical permutations; keep the least certificate.
+def _orbits(children, gens):
+    """Union of the orbits of the children (tuples of atoms, acted on
+    atom by atom) under the group the generators generate."""
+    out = set(children)
+    stack = list(out)
+    while stack:
+        child = stack.pop()
+        for g in gens:
+            image = tuple(g[a] for a in child)
+            if image not in out:
+                out.add(image)
+                stack.append(image)
+    return out
 
-    ``best`` is a dict carrying the current optimum and all permutations
-    achieving it.
+
+class _Search:
+    """Depth-first search over individualizations with orbit pruning.
+
+    A node is its refined coloring; a child individualizes one atom of the
+    first non-singleton cell or, for a cell of at most five atoms, orders
+    the whole cell at once.  An automorphism fixes a node iff it preserves
+    its coloring, and it then maps the node's children onto each other, so
+    a child in the orbit of an earlier sibling has an isomorphic subtree.
+
+    The automorphisms found generate the group.  Along the first path,
+    each child in the orbit of the path's child under the node's
+    stabilizer is either pruned as the image of a sibling already in that
+    orbit, or searched until a leaf matching the first leaf gives an
+    automorphism fixing the node that maps the path's child onto it; such
+    leaves lie in the child's subtree, and pruning inside it keeps one.
+    So at every node of the first path the stabilizer is generated by the
+    automorphisms found that fix the node.
     """
-    cells = _cells(colors)
-    branch = next((c for c in cells if len(c) > 1), None)
-    if branch is None:
-        perm = [0] * lat.n_atoms
-        pos = 0
-        for cell in cells:
-            perm[cell[0]] = pos
-            pos += 1
-        cert = _certificate_bytes(lat, perm)
-        if best["cert"] is None or cert < best["cert"]:
-            best["cert"] = cert
-            best["perms"] = [tuple(perm)]
-        elif cert == best["cert"]:
-            best["perms"].append(tuple(perm))
-        return
-    if len(branch) <= 5:
-        # small cell: try every ordering at once, cheaper than re-refining
+
+    def __init__(self, lat):
+        self.lat = lat
+        self.incidence = _incidence(lat)
+        self.first = None   # (certificate, perm) of the first leaf
+        self.best = None    # the first leaf with the least certificate
+        self.gens = set()   # automorphisms found
+        self.frames = []    # open nodes, root first: (colors, explored)
+        self.abort = None   # depth of the frame whose current child is dropped
+
+    def node(self, colors):
+        cells = _cells(colors)
+        branch = next((c for c in cells if len(c) > 1), None)
+        if branch is None:
+            # discrete and refined: colors are 0..n-1, the canonical positions
+            self.leaf(colors)
+            return
+        if len(branch) <= 5:
+            # small cell: try every ordering at once, cheaper than re-refining
+            children = itertools.permutations(branch)
+        else:
+            children = ((atom,) for atom in branch)
         base = max(colors) + 1
-        for ordering in itertools.permutations(branch):
+        depth = len(self.frames)
+        explored = []
+        self.frames.append((colors, explored))
+        seen, stab, covered = 0, [], set()
+        for child in children:
+            if len(self.gens) != seen:
+                seen = len(self.gens)
+                stab = self.stabilizer(colors)
+                covered = _orbits(explored, stab)
+            if child in covered:
+                continue
+            explored.append(child)
+            covered |= _orbits([child], stab)
             new = list(colors)
-            for k, atom in enumerate(ordering):
+            for k, atom in enumerate(child):
                 new[atom] = base + k
-            _search(lat, _refine(lat, tuple(new)), best)
-    else:
-        base = max(colors) + 1
-        for atom in branch:
-            new = list(colors)
-            new[atom] = base
-            _search(lat, _refine(lat, tuple(new)), best)
+            self.node(_refine(self.incidence, tuple(new)))
+            if self.abort is not None:
+                if self.abort < depth:
+                    break
+                self.abort = None
+        self.frames.pop()
+
+    def leaf(self, perm):
+        cert = _certificate_bytes(self.lat, perm)
+        if self.first is None:
+            self.first = self.best = (cert, perm)
+            return
+        if cert == self.first[0]:
+            ref = self.first[1]
+        elif cert == self.best[0]:
+            ref = self.best[1]
+        else:
+            if cert < self.best[0]:
+                self.best = (cert, perm)
+            return
+        # perm and ref reach the same certificate, so ref^-1 . perm is an
+        # automorphism
+        inv = [0] * len(ref)
+        for i, p in enumerate(ref):
+            inv[p] = i
+        aut = tuple(inv[p] for p in perm)
+        if aut == tuple(range(len(aut))) or aut in self.gens:
+            return
+        self.gens.add(aut)
+        self.drop_equivalent_branch()
+
+    def stabilizer(self, colors):
+        return [g for g in self.gens
+                if all(colors[x] == c for x, c in zip(g, colors))]
+
+    def drop_equivalent_branch(self):
+        """Abandon the current child of the shallowest open node at which
+        it now lies in the orbit of an earlier explored sibling."""
+        for depth, (colors, explored) in enumerate(self.frames):
+            if len(explored) > 1 and not _orbits(
+                    [explored[-1]], self.stabilizer(colors)).isdisjoint(
+                        explored[:-1]):
+                self.abort = depth
+                return
 
 
 def _certificate_bytes(lat, perm):
@@ -131,37 +229,13 @@ def canonical_form(lat: GeometricLattice, fixed_atoms=()) -> CanonicalForm:
         fixed.append(lat.atom_index[lab])
     if len(set(fixed)) != len(fixed):
         raise ForeignFlat("fixed atoms repeat")
-    n = lat.n_atoms
-    colors = [len(fixed)] * n
+    colors = [len(fixed)] * lat.n_atoms
     for k, i in enumerate(fixed):
         colors[i] = k
-    colors = _refine(lat, tuple(colors))
-    best = {"cert": None, "perms": []}
-    _search(lat, colors, best)
-    perms = best["perms"]
-    p0 = perms[0]
-    inv0 = [0] * n
-    for i, p in enumerate(p0):
-        inv0[p] = i
-    auts = set()
-    for p in perms:
-        # p and p0 reach the same certificate, so p0^-1 . p is an automorphism
-        a = tuple(inv0[p[i]] for i in range(n))
-        auts.add(a)
-    auts.discard(tuple(range(n)))
-    # close under composition; the cell search can miss products
-    frontier = list(auts)
-    group = set(auts)
-    ident = tuple(range(n))
-    while frontier:
-        g = frontier.pop()
-        for h in list(group) + [g]:
-            for comp in (tuple(g[h[i]] for i in range(n)),
-                         tuple(h[g[i]] for i in range(n))):
-                if comp != ident and comp not in group:
-                    group.add(comp)
-                    frontier.append(comp)
-    return CanonicalForm(best["cert"], p0, tuple(sorted(group)))
+    search = _Search(lat)
+    search.node(_refine(search.incidence, tuple(colors)))
+    cert, perm = search.best
+    return CanonicalForm(cert, perm, tuple(sorted(search.gens)))
 
 
 def certificates_equal(l1: GeometricLattice, l2: GeometricLattice,

@@ -25,7 +25,8 @@ from .errors import (
     NotIso,
 )
 from .extensions import CatalogEntry, ModularExtension, _canonical_entry, catalog
-from .lattice import Embedding, GeometricLattice, _mask_atoms, interval, restriction
+from .lattice import (Embedding, GeometricLattice, _mask_atoms, interval,
+                      intervals_at, restriction)
 from .os_algebra import OSElement, reduce_to_nbc, _word_sign
 
 
@@ -178,7 +179,6 @@ class DiagramAlgebra:
         self._raw_canon = {}        # raw structural key -> certificate
         self._contract_cache = {}   # (cert, atom pos) -> contraction machinery
         self._pushout_cache = {}    # (cert1, cert2) -> pushout machinery
-        self._interval_cache = {}   # flat idx -> (lower ctx data, upper ctx data)
         self._entry_atom_flats = {} # cert -> per-atom flat index
         self._diagram_blocks = {}   # bounds -> {(grading, degree): [Diagram]}
 
@@ -442,13 +442,7 @@ class DiagramAlgebra:
     # cooperadic coproduct
 
     def interval_data(self, flat: int):
-        hit = self._interval_cache.get(flat)
-        if hit is None:
-            lower = interval(self.base, self.base.bottom, flat)
-            upper = interval(self.base, flat, self.base.top)
-            hit = (lower, upper)
-            self._interval_cache[flat] = hit
-        return hit
+        return intervals_at(self.base, flat)
 
     def coproduct(self, diag: Diagram, flat: int) -> TensorVector:
         """Split along a proper base flat into lower/upper diagram pairs."""

@@ -594,17 +594,14 @@ def _child_lattice(entry: CatalogEntry, members, label):
                             validate=False)
 
 
-_CATALOG_CACHE = {}
-
-
 def catalog(base: GeometricLattice, max_new_atoms: int, max_extra_rank: int,
             antichain_cap: int = 3):
     """All modular extensions of the base within the bounds, canonical and
-    deduplicated, ordered by (new-atom count, certificate)."""
+    deduplicated, ordered by (new-atom count, certificate); kept on ``base``."""
     if base.is_trivial:
         raise NotGeometric("extensions of the one-point lattice are not defined")
-    key = (id(base), max_new_atoms, max_extra_rank, antichain_cap)
-    hit = _CATALOG_CACHE.get(key)
+    key = (max_new_atoms, max_extra_rank, antichain_cap)
+    hit = base._catalogs.get(key)
     if hit is not None:
         return hit
     root, _ = _canonical_entry(base, base, 0, 0)
@@ -631,7 +628,7 @@ def catalog(base: GeometricLattice, max_new_atoms: int, max_extra_rank: int,
     out = []
     for lvl in levels:
         out.extend(lvl[c] for c in sorted(lvl))
-    _CATALOG_CACHE[key] = out
+    base._catalogs[key] = out
     return out
 
 

@@ -58,6 +58,8 @@ class GeometricLattice:
         "_factor_supports",
         "_circuits",
         "_modular_cache",
+        "_intervals",
+        "_catalogs",
         "name",
     )
 
@@ -86,6 +88,8 @@ class GeometricLattice:
         self._factor_supports = None
         self._circuits = None
         self._modular_cache = {}
+        self._intervals = {}    # flat -> (interval below, interval above)
+        self._catalogs = {}     # catalog bounds -> entries (extensions.catalog)
 
         n = len(atoms)
         full = (1 << n) - 1
@@ -639,6 +643,16 @@ def interval(lat: GeometricLattice, f1: int, f2: int):
     to_parent_list = [masks[sub.flat_masks[i]] for i in range(sub.n_flats)]
     from_parent = {p: i for i, p in enumerate(to_parent_list)}
     return sub, to_parent_list, from_parent
+
+
+def intervals_at(lat: GeometricLattice, flat: int):
+    """``(interval(lat, bottom, flat), interval(lat, flat, top))``, built
+    once per flat and kept on the lattice."""
+    hit = lat._intervals.get(flat)
+    if hit is None:
+        hit = (interval(lat, lat.bottom, flat), interval(lat, flat, lat.top))
+        lat._intervals[flat] = hit
+    return hit
 
 
 def direct_product(l1: GeometricLattice, l2: GeometricLattice, *, name=None):

@@ -1,9 +1,8 @@
 """Exact sparse rational matrices and rank computation.
 
 Rank is computed by fraction-free integer elimination with Markowitz-style
-pivoting; a modular-arithmetic prescreen over a random 62-bit prime cross
-checks the result and records any mismatch (the exact answer is always the
-one reported).
+pivoting.  ``rank_mod_prime`` gives the rank over a 62-bit prime field, a
+lower bound on the rational rank, for tests and cross checks.
 """
 
 from __future__ import annotations
@@ -13,12 +12,6 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import InconsistentChain
-
-try:
-    import numpy as _np
-except Exception:  # pragma: no cover
-    _np = None
-
 
 _PRIME_62 = (1 << 62) - 57  # largest prime below 2**62
 
@@ -74,63 +67,31 @@ class RationalMatrix:
             fh.write(f"{r} {c} {v.numerator}/{v.denominator}\n")
 
 
-class RankStats:
-    """Counters for the modular prescreen (module-wide, test-visible)."""
-
-    prescreen_runs = 0
-    prescreen_mismatches = 0
-
-
-def rank(matrix: RationalMatrix, *, prescreen=True, seed=None) -> int:
+def rank(matrix: RationalMatrix) -> int:
     """Exact rank over the rationals."""
-    rows = [r for r in matrix.integer_rows() if r]
-    if not rows or matrix.cols == 0:
-        return 0
-    candidate = None
-    if prescreen and _np is not None and matrix.rows * matrix.cols <= 4_000_000:
-        candidate = _rank_mod_p(rows, matrix.cols, _PRIME_62, seed=seed)
-        RankStats.prescreen_runs += 1
-    exact = _rank_fraction_free(rows)
-    if candidate is not None and candidate != exact:
-        RankStats.prescreen_mismatches += 1
-        exact = _rank_fraction_free([dict(r) for r in matrix.integer_rows() if r])
-    return exact
+    return _rank_fraction_free(matrix.integer_rows())
 
 
 def rank_mod_prime(matrix: RationalMatrix, p: int = _PRIME_62) -> int:
-    rows = [r for r in matrix.integer_rows() if r]
-    if not rows or matrix.cols == 0:
-        return 0
-    return _rank_mod_p(rows, matrix.cols, p)
-
-
-def _rank_mod_p(rows, cols, p, seed=None):
-    if _np is None:  # pragma: no cover
-        return None
-    m = len(rows)
-    a = _np.zeros((m, cols), dtype=object)
-    for i, row in enumerate(rows):
-        for c, v in row.items():
-            a[i, c] = v % p
-    r = 0
-    for col in range(cols):
-        piv = None
-        for i in range(r, m):
-            if a[i, col] % p:
-                piv = i
+    """Rank over the field with ``p`` elements, by sparse row echelon form."""
+    pivots = {}  # leading column -> pivot row, scaled to 1 there
+    for row in matrix.integer_rows():
+        row = {c: v % p for c, v in row.items() if v % p}
+        while row:
+            c = min(row)
+            prow = pivots.get(c)
+            if prow is None:
+                inv = pow(row[c], p - 2, p)
+                pivots[c] = {c2: v * inv % p for c2, v in row.items()}
                 break
-        if piv is None:
-            continue
-        a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, col]), p - 2, p)
-        a[r] = (a[r] * inv) % p
-        for i in range(m):
-            if i != r and a[i, col]:
-                a[i] = (a[i] - a[i, col] * a[r]) % p
-        r += 1
-        if r == m:
-            break
-    return r
+            f = row[c]
+            for c2, v in prow.items():
+                nv = (row.get(c2, 0) - f * v) % p
+                if nv:
+                    row[c2] = nv
+                else:
+                    del row[c2]
+    return len(pivots)
 
 
 def _rank_fraction_free(rows):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ImproperFlat, LatticeMismatch, SpecParse
-from .lattice import GeometricLattice, _mask_atoms, interval
+from .lattice import GeometricLattice, _mask_atoms, intervals_at
 
 
 class OSContext:
@@ -304,8 +304,7 @@ def os_coproduct(elem: OSElement, flat: int):
     lat = elem.lattice
     if flat in (lat.bottom, lat.top):
         raise ImproperFlat("coproduct needs a proper flat")
-    lower, low_to_parent, low_from_parent = interval(lat, lat.bottom, flat)
-    upper, up_to_parent, up_from_parent = interval(lat, flat, lat.top)
+    (lower, _, _), (upper, _, up_from_parent) = intervals_at(lat, flat)
     fmask = lat.flat_masks[flat]
     low_ctx = os_context(lower)
     up_ctx = os_context(upper)

@@ -142,3 +142,50 @@ def set_partitions(items):
         for i in range(len(part)):
             yield part[:i] + [part[i] + [first]] + part[i + 1:]
         yield [[first]] + part
+
+
+def brute_automorphism_count(lat):
+    """Number of atom permutations mapping the flat family onto itself.
+
+    Every permutation is built atom by atom; a flat is checked as soon as
+    all its atoms have images, so a partial map that already breaks one
+    is not extended further.
+    """
+    atoms = list(lat.atoms)
+    flats = set(flats_of(lat))
+    checked_at = {a: [] for a in atoms}
+    for f in flats:
+        if f:
+            checked_at[max(f, key=atoms.index)].append(f)
+    image = {}
+
+    def extend(k):
+        if k == len(atoms):
+            return 1
+        total = 0
+        for b in atoms:
+            if b in image.values():
+                continue
+            image[atoms[k]] = b
+            if all(frozenset(image[x] for x in f) in flats
+                   for f in checked_at[atoms[k]]):
+                total += extend(k + 1)
+            del image[atoms[k]]
+        return total
+    return extend(0)
+
+
+def group_closure(gens, n):
+    """All products of the generators (permutations of range(n) as
+    tuples), the identity included."""
+    ident = tuple(range(n))
+    group = {ident}
+    stack = [ident]
+    while stack:
+        g = stack.pop()
+        for h in gens:
+            gh = tuple(h[g[i]] for i in range(n))
+            if gh not in group:
+                group.add(gh)
+                stack.append(gh)
+    return group

@@ -1,4 +1,5 @@
-"""Canonical labelling: a golden digest of certificates and labellings.
+"""Canonical labelling: a golden digest of certificates and labellings,
+and the automorphism generators against brute force.
 
 Every isomorphism deduplication (catalog children, normalized diagrams,
 the supersolvability memo) goes through ``canonical_form``, so its
@@ -8,9 +9,12 @@ changes.  ``GOLDEN`` holds a SHA-256 digest per input family, made from
 """
 
 import hashlib
+import itertools
+import time
 
 import pytest
 
+from conftest import brute_automorphism_count, flats_of, group_closure
 from mdg.canon import canonical_form
 from mdg.corpus import (
     build_corpus_lattice,
@@ -20,7 +24,7 @@ from mdg.corpus import (
     path_graph_edges,
 )
 from mdg.extensions import catalog
-from mdg.lattice import build_from_graph
+from mdg.lattice import build_boolean, build_from_flats, build_from_graph
 
 
 # Criterion 5's sweep graphs with C7, plus K3,3 and K6
@@ -99,3 +103,72 @@ def digest(family):
 @pytest.mark.parametrize("family", list(FAMILIES))
 def test_canonical_forms_golden(family):
     assert digest(family) == GOLDEN[family]
+
+
+# ----------------------------------------------------------------------
+# automorphism generators
+
+
+def _uniform(rank, n):
+    atoms = [str(i) for i in range(n)]
+    flats = [s for r in range(rank) for s in itertools.combinations(atoms, r)]
+    return build_from_flats(atoms, flats + [atoms])
+
+
+GROUP_CASES = {
+    "pi4": (lambda: build_corpus_lattice("pi4"), 24),
+    "B6": (lambda: build_boolean(6), 720),
+    "U(5,6)": (lambda: _uniform(5, 6), 720),
+    "K3,3": (lambda: build_from_graph(SWEEP_GRAPHS["K3,3"]), 72),
+    "C7": (lambda: build_from_graph(SWEEP_GRAPHS["C7"]), 5040),
+}
+
+
+@pytest.mark.parametrize("name", list(GROUP_CASES))
+def test_generators_generate_the_automorphism_group(name):
+    build, order = GROUP_CASES[name]
+    lat = build()
+    assert brute_automorphism_count(lat) == order
+    cf = canonical_form(lat)
+    n = lat.n_atoms
+    assert len(cf.automorphisms) <= n - 1
+    flats = set(lat.flat_masks)
+    for g in cf.automorphisms:
+        image = {sum(1 << g[i] for i in range(n) if m >> i & 1)
+                 for m in flats}
+        assert image == flats
+    assert len(group_closure(cf.automorphisms, n)) == order
+
+
+def test_cycle_graph_c7_is_fast():
+    lat = build_from_graph(SWEEP_GRAPHS["C7"])
+    t0 = time.process_time()
+    canonical_form(lat)
+    assert time.process_time() - t0 < 1.0
+
+
+def _brute_has_odd_aut(entry):
+    """Some permutation of the new atoms, fixing the base atoms, maps the
+    flat family onto itself and is odd."""
+    atoms = entry.lat.atoms
+    base, new = atoms[:entry.n_base], atoms[entry.n_base:]
+    flats = set(flats_of(entry.lat))
+    for images in itertools.permutations(new):
+        inversions = sum(1 for i, j in itertools.combinations(range(len(new)), 2)
+                         if new.index(images[i]) > new.index(images[j]))
+        if inversions % 2 == 0:
+            continue
+        m = dict(zip(base, base)) | dict(zip(new, images))
+        if {frozenset(m[x] for x in f) for f in flats} == flats:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("name", ["pi3", "pi4", "b3"])
+def test_has_odd_aut_matches_brute_force(name):
+    base = build_corpus_lattice(name)
+    entries = catalog(base, 3, 2)
+    assert any(e.has_odd_aut for e in entries)
+    for entry in entries:
+        assert entry.has_odd_aut == _brute_has_odd_aut(entry), \
+            (name, entry.certificate)

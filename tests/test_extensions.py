@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import pytest
@@ -24,6 +25,7 @@ from mdg.lattice import (
     Embedding,
     build_boolean,
     build_from_flats,
+    build_partition_lattice,
     direct_product,
     interval,
     restriction,
@@ -271,6 +273,20 @@ def test_enumerate_bounds_zero(pi3):
     exts = enumerate_modular_extensions(pi3, 0, 0)
     assert len(exts) == 1
     assert exts[0].lat.flat_masks == pi3.flat_masks
+
+
+def test_catalog_not_shared_after_id_reuse():
+    # a freed lattice's id can be reused by the next one built; its catalog
+    # must not be handed to the new lattice
+    for _ in range(4):
+        pi3 = build_partition_lattice(3)
+        catalog(pi3, 1, 1)
+        del pi3
+        gc.collect()
+        b2 = build_boolean(2)
+        for entry in catalog(b2, 1, 1):
+            assert entry.n_base == b2.n_atoms
+            assert entry.lat.atoms[:entry.n_base] == b2.atoms
 
 
 def test_enumerate_entries_are_valid(pi3):
