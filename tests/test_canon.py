@@ -5,7 +5,8 @@ Every isomorphism deduplication (catalog children, normalized diagrams,
 the supersolvability memo) goes through ``canonical_form``, so its
 ``certificate`` and ``perm`` must stay byte-identical whenever the search
 changes.  ``GOLDEN`` holds a SHA-256 digest per input family, made from
-``(certificate, perm)`` of every input below.
+``(certificate, perm)`` of every input below; for the large catalogs, from
+each entry's certificate and its canonically labelled flats.
 """
 
 import hashlib
@@ -48,6 +49,9 @@ SWEEP_GRAPHS = {
 
 CATALOG_BASES = ("pi3", "pi4", "b2", "b3", "k4")
 CATALOG_BOUNDS = (3, 2)
+# the +1-atom catalog of verify-qiso on pi4, and pi3 where cuts first need
+# more than three generating flats
+LARGE_CATALOGS = (("pi4", (4, 2)), ("pi3", (5, 2)))
 
 GOLDEN = {
     "corpus": "dc206632761c42713a2c1ab28aeeb9eb"
@@ -56,6 +60,8 @@ GOLDEN = {
               "5b047e1f576f4a57ce3802f1dab25e46",
     "catalogs": "d847486cc7ca9b7f1a47d11d4b2afdfe"
                 "01b957648cf1a288d29bf5f590a6873a",
+    "large-catalogs": "0a50738126b132c3f709c466c55f8f88"
+                      "aa992fcb960f3aa9854c6a7245904c06",
 }
 
 
@@ -86,10 +92,21 @@ def _catalog_lines():
             yield _line(tag + "/free", canonical_form(entry.lat))
 
 
+def _large_catalog_lines():
+    for name, bounds in LARGE_CATALOGS:
+        base = build_corpus_lattice(name)
+        for k, entry in enumerate(catalog(base, *bounds)):
+            yield (f"{name}{bounds}/{k}|{entry.extra_rank}|".encode()
+                   + entry.certificate + b"|"
+                   + ",".join(map(str, entry.lat.flat_masks)).encode()
+                   + b"\n")
+
+
 FAMILIES = {
     "corpus": _corpus_lines,
     "graphs": _graph_lines,
     "catalogs": _catalog_lines,
+    "large-catalogs": _large_catalog_lines,
 }
 
 
