@@ -75,7 +75,6 @@ def _add_common(p, bounds=True):
     if bounds:
         p.add_argument("--max-atoms", type=int, default=3)
         p.add_argument("--max-rank", type=int, default=2)
-        p.add_argument("--antichain-cap", type=int, default=3)
 
 
 def build_parser():
@@ -252,7 +251,7 @@ def _dispatch(args):
         lat = _load(args.lattice)
         alg = algebra_for(lat)
         grading = _flat_from_arg(lat, args.grading)
-        bounds = (args.max_atoms, args.max_rank, args.antichain_cap)
+        bounds = (args.max_atoms, args.max_rank)
         if args.md_command == "basis":
             diags = alg.basis(grading, args.degree, bounds)
             payload = {"count": len(diags),
@@ -278,7 +277,7 @@ def _dispatch(args):
             return 0
         if args.md_command == "cohomology":
             blk, nxt, stable = cohomology(lat, grading, args.max_atoms,
-                                          args.max_rank, args.antichain_cap)
+                                          args.max_rank)
             if args.dump_matrices:
                 _dump_matrices(blk, args.dump_matrices)
             payload = {"dims": {str(k): v for k, v in sorted(blk.dims.items())},
@@ -304,8 +303,7 @@ def _dispatch(args):
 
     if cmd == "extensions":
         lat = _load(args.lattice)
-        entries = catalog(lat, args.max_atoms, args.max_rank,
-                          args.antichain_cap)
+        entries = catalog(lat, args.max_atoms, args.max_rank)
         payload = {"count": len(entries), "extensions": []}
         for e in entries:
             payload["extensions"].append({
@@ -328,16 +326,14 @@ def _dispatch(args):
     if cmd == "verify-qiso":
         lat = _load(args.lattice)
         rep = run_verify_qiso(lat, args.max_atoms, args.max_rank,
-                              args.antichain_cap, name=args.lattice,
-                              timeout=args.timeout)
+                              name=args.lattice, timeout=args.timeout)
         _report_out(args, rep)
         return 0 if rep.passed else 1
 
     if cmd == "axioms":
         lat = _load(args.lattice)
         rep = run_axiom_suite(lat, args.max_atoms, args.max_rank,
-                              args.antichain_cap, seed=args.seed,
-                              name=args.lattice)
+                              seed=args.seed, name=args.lattice)
         _report_out(args, rep)
         return 0 if rep.passed else 1
 

@@ -14,7 +14,7 @@ the base and acting oddly on the new atoms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
@@ -26,7 +26,7 @@ from .errors import (
 )
 from .extensions import CatalogEntry, ModularExtension, _canonical_entry, catalog
 from .lattice import (Embedding, GeometricLattice, _mask_atoms, interval,
-                      intervals_at, restriction)
+                      intervals_at, restriction, same_lattice)
 from .os_algebra import OSElement, reduce_to_nbc, _word_sign
 
 
@@ -41,7 +41,8 @@ def _lattice_sig(lat: GeometricLattice):
 class Diagram:
     """A normalized nonzero modular diagram (canonical representative)."""
 
-    base_sig_hash: int
+    # unique per base signature (algebra_for), so identity is equality
+    algebra: "DiagramAlgebra" = field(repr=False)
     entry: CatalogEntry
     word: tuple        # sorted canonical atom positions
     degree: int
@@ -53,11 +54,11 @@ class Diagram:
         return (self.entry.certificate, self.word)
 
     def __hash__(self):
-        return hash((self.base_sig_hash, self.entry.certificate, self.word))
+        return hash((self.entry.certificate, self.word))
 
     def __eq__(self, other):
         return (isinstance(other, Diagram)
-                and self.base_sig_hash == other.base_sig_hash
+                and self.algebra is other.algebra
                 and self.entry.certificate == other.entry.certificate
                 and self.word == other.word)
 
@@ -174,7 +175,6 @@ class DiagramAlgebra:
             raise NotGeometric("modular diagrams of the one-point lattice "
                                "are not defined")
         self.base = base
-        self.base_sig_hash = hash(_lattice_sig(base))
         self._entries = {}          # certificate -> CatalogEntry
         self._raw_canon = {}        # raw structural key -> certificate
         self._contract_cache = {}   # (cert, atom pos) -> contraction machinery
@@ -274,13 +274,13 @@ class DiagramAlgebra:
         grading = self.base.flat_index[meet_mask & ((1 << entry.n_base) - 1)]
         degree = len(sorted_word) - 2 * (lat.ranks[vj]
                                          - lat.ranks[lat.flat_index[meet_mask]])
-        diagram = Diagram(self.base_sig_hash, entry, sorted_word, degree,
+        diagram = Diagram(self, entry, sorted_word, degree,
                           grading, len(sorted_word) - lat.ranks[vj])
         return sign, diagram
 
     def normalize(self, ext: ModularExtension, word_labels):
         """Public entry point: validate the extension, then normalize."""
-        if not _same_lattice(ext.base, self.base):
+        if not same_lattice(ext.base, self.base):
             raise MismatchedBase("extension is over a different base")
         ext.validate()
         lat = ext.lat
@@ -533,7 +533,7 @@ class DiagramAlgebra:
         ``iso`` maps this algebra's base isomorphically onto the base of
         the diagram.
         """
-        if not _same_lattice(iso.source, self.base):
+        if not same_lattice(iso.source, self.base):
             raise NotIso("isomorphism source is not this base")
         tgt = iso.target
         if tgt.n_atoms != self.base.n_atoms or tgt.n_flats != self.base.n_flats:
@@ -595,13 +595,18 @@ class DiagramAlgebra:
 
     def diagrams_within(self, bounds):
         """All normalized diagrams with full-support words over the bounded
-        extension catalog, grouped by (grading flat, degree)."""
+        extension catalog, grouped by (grading flat, degree).
+
+        ``bounds`` is (new atoms, extra rank); a third slot, which
+        bench/worker.py still passes, is ignored.
+        """
+        # the third slot goes when bench/worker.py drops AXIOM_CAP
+        bounds = tuple(bounds[:2])
         hit = self._diagram_blocks.get(bounds)
         if hit is not None:
             return hit
-        ba, br, cap = bounds
         blocks = {}
-        for raw_entry in catalog(self.base, ba, br, cap):
+        for raw_entry in catalog(self.base, *bounds):
             entry = self._register_entry(raw_entry)
             n_new = entry.lat.n_atoms - entry.n_base
             if entry.has_odd_aut or entry.rel4_dead():
@@ -636,7 +641,7 @@ class DiagramAlgebra:
                           - 2 * (lat.ranks[vj]
                                  - lat.ranks[lat.flat_index[meet_mask]]))
                 word = tuple(_mask_atoms(word_mask))
-                diag = Diagram(self.base_sig_hash, entry, word, degree,
+                diag = Diagram(self, entry, word, degree,
                                grading, len(word) - lat.ranks[vj])
                 blocks.setdefault((grading, degree), []).append(diag)
         for k in blocks:
@@ -735,8 +740,9 @@ def determining_bounds(grading_rank: int, nullity: int, degree: int):
     A diagram in cell (n, d) of a grading of rank r has extra rank
     k = r + n - d and a word of r + k + n atoms, every new atom among them.
     The cell's cohomology sees degrees d - 1, d and d + 1, and degree d - 1
-    needs extra rank k + 1 and up to r + k + 1 + n new atoms.  Exactness is
-    relative to the extension catalog being complete at those bounds.
+    needs extra rank k + 1 and up to r + k + 1 + n new atoms.  The
+    extension catalog is complete at every bound, so nothing else limits
+    exactness.
     """
     k = grading_rank + nullity - degree
     if k < 0:
@@ -786,19 +792,13 @@ def stable_degrees(lo: CohomologyBlock, hi: CohomologyBlock):
 
 
 def cohomology(base: GeometricLattice, grading: int, max_new_atoms: int,
-               max_extra_rank: int, antichain_cap: int = 3):
+               max_extra_rank: int):
     """Truncated Betti numbers at the given bounds and at one extra atom,
     with a per-degree stabilization report."""
     alg = algebra_for(base)
-    lo = alg.cohomology_block(grading, (max_new_atoms, max_extra_rank,
-                                        antichain_cap))
-    hi = alg.cohomology_block(grading, (max_new_atoms + 1, max_extra_rank,
-                                        antichain_cap))
+    lo = alg.cohomology_block(grading, (max_new_atoms, max_extra_rank))
+    hi = alg.cohomology_block(grading, (max_new_atoms + 1, max_extra_rank))
     return lo, hi, stable_degrees(lo, hi)
-
-
-def _same_lattice(l1, l2):
-    return l1 is l2 or _lattice_sig(l1) == _lattice_sig(l2)
 
 
 # ----------------------------------------------------------------------
@@ -862,7 +862,6 @@ def grading_component_iso(base: GeometricLattice, flat: int):
 
 
 def basis(base: GeometricLattice, grading: int, degree: int,
-          max_new_atoms: int, max_extra_rank: int, antichain_cap: int = 3):
+          max_new_atoms: int, max_extra_rank: int):
     return algebra_for(base).basis(grading, degree,
-                                   (max_new_atoms, max_extra_rank,
-                                    antichain_cap))
+                                   (max_new_atoms, max_extra_rank))

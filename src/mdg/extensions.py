@@ -28,6 +28,7 @@ from .lattice import (
     direct_product,
     identity_embedding,
     interval,
+    same_lattice,
 )
 from .modularity import is_modular
 
@@ -176,10 +177,6 @@ def identity_extension(lat: GeometricLattice) -> ModularExtension:
 # pushout (generalized parallel connection)
 
 
-def _same_base(l1: GeometricLattice, l2: GeometricLattice) -> bool:
-    return l1 is l2 or (l1.atoms == l2.atoms and l1.flat_masks == l2.flat_masks)
-
-
 def pushout(ext1: ModularExtension, ext2: ModularExtension, *, name=None):
     """Glue two extensions along their common base.
 
@@ -187,7 +184,7 @@ def pushout(ext1: ModularExtension, ext2: ModularExtension, *, name=None):
     modular extension of the base together with the two side embeddings.
     """
     base = ext1.base
-    if not _same_base(base, ext2.base):
+    if not same_lattice(base, ext2.base):
         raise MismatchedBase("extensions have different sources")
     mod1 = is_modular(ext1.lat, ext1.top)
     mod2 = is_modular(ext2.lat, ext2.top)
@@ -299,12 +296,12 @@ def symmetric_extension(base: GeometricLattice, ext: ModularExtension,
     left = ModularExtension.build(
         Embedding(sub, base, tuple(sub_atom_positions)), require_modular=True)
 
-    over_base = _same_base(ext.base, base)
+    over_base = same_lattice(ext.base, base)
     if over_base:
         emb = ext.embedding
         right_map = tuple(emb.atom_map[p] for p in sub_atom_positions)
         right = ModularExtension.build(Embedding(sub, ext.lat, right_map))
-    elif _same_base(ext.base, sub):
+    elif same_lattice(ext.base, sub):
         right = ModularExtension.build(
             Embedding(sub, ext.lat, ext.embedding.atom_map))
     else:
@@ -472,118 +469,130 @@ def _canonical_entry(lat, base, level, extra_rank, fixed_labels=None):
     return entry, perm
 
 
-def _valid_cuts(entry: CatalogEntry, antichain_cap: int):
-    """All modular cuts of the entry's lattice generated by at most
-    ``antichain_cap`` flats that yield a child extension of the same base.
+def _valid_cuts(entry: CatalogEntry):
+    """Every modular cut of the entry's lattice that yields a child
+    extension of the same base, yielded one at a time.
 
-    A cut is usable iff it avoids the base image downward (so the child is
-    still an extension) and, for every flat kept free of the new atom,
-    joining with the base top stays outside the cut (the exact condition
-    for the base top to stay modular in the child).
+    A set S of hyperplanes is a linear subclass when no coline lies below
+    two members of S and a hyperplane outside S.  Its modular cut is the
+    set of flats whose hyperplanes all lie in S, and every nonempty
+    modular cut arises once this way (Oxley, *Matroid Theory*, 2nd ed.,
+    section 7.2); the empty S gives the free extension's cut {top}.  The
+    search decides the hyperplanes in order and propagates each decision
+    over the colines below it: two members above a coline force in the
+    rest above it, a member and a non-member force them out.
+
+    A branch dies once the child is sure to be no extension of the base
+    with its top modular: when a forbidden flat (rank at most 1, or below
+    the base top) has all its hyperplanes in S, or when a flat g and its
+    covers are surely outside the cut while g v (base top) is surely in
+    it (g then stays free of the new atom, and the base top is not
+    modular in the child).
     """
     lat = entry.lat
     fi = entry.top
+    if fi == lat.top:
+        return
     ranks = lat.ranks
     masks = lat.flat_masks
     fi_mask = masks[fi]
-    ups = lat.upsets()
     covers_up = lat.covers_up()
     n_f = lat.n_flats
+    r = lat.rank
 
-    candidates = [g for g in range(n_f)
-                  if ranks[g] >= 2 and masks[g] | fi_mask != fi_mask]
+    # hyps[F]: bitmask over hyperplane positions of the hyperplanes above F
+    hyps = [0] * n_f
+    for j, h in enumerate(lat.by_rank[r - 1]):
+        hyps[h] = 1 << j
+    for f in range(n_f - 1, -1, -1):
+        if ranks[f] < r - 1:
+            acc = 0
+            for c in covers_up[f]:
+                acc |= hyps[c]
+            hyps[f] = acc
+    n_h = len(lat.by_rank[r - 1])
+    colines = [[] for _ in range(n_h)]   # per hyperplane: the colines below
+    forbidden = [[] for _ in range(n_h)]  # per hyperplane: forbidden flats
+    for c in lat.by_rank[r - 2]:
+        hc = hyps[c]
+        if hc.bit_count() >= 3:          # two hyperplanes constrain nothing
+            for j in _mask_atoms(hc):
+                colines[j].append(hc)
+    for hf in {hyps[fi]} | {hyps[a] for a in lat.by_rank[1]
+                            if masks[a] & fi_mask == 0}:
+        for j in _mask_atoms(hf):
+            forbidden[j].append(hf)
 
-    def close(gens):
-        """Smallest modular cut containing the generators, or None if it
-        would contain an atom, the bottom, or anything below the base top."""
-        mem_mask = 0
-        members = []
-        queue = []
-        def add(x):
-            nonlocal mem_mask
-            up = ups[x] & ~mem_mask
-            while up:
-                low = up & -up
-                y = low.bit_length() - 1
-                if ranks[y] <= 1 or masks[y] | fi_mask == fi_mask:
-                    return False
-                members.append(y)
-                queue.append(y)
-                up ^= low
-            mem_mask |= ups[x]
-            return True
-        for g in gens:
-            if not add(g):
-                return None
-        while queue:
-            y = queue.pop()
-            for z in list(members):
-                if z == y:
-                    continue
-                if mem_mask >> z & 1 == 0:
-                    continue
-                my, mz = masks[y], masks[z]
-                if my | mz == mz or mz | my == my:
-                    continue
-                m = lat.meet(y, z)
-                if mem_mask >> m & 1:
-                    continue
-                if ranks[y] + ranks[z] == ranks[m] + ranks[lat.join(y, z)]:
-                    if ranks[m] <= 1 or masks[m] | fi_mask == fi_mask:
+    below = [0] * n_h                    # per hyperplane: the flats below
+    for f in range(n_f):
+        for j in _mask_atoms(hyps[f]):
+            below[j] |= 1 << f
+
+    def decide(inside, outside, dead, j, is_in):
+        """Add hyperplane j to one side and propagate; None on conflict.
+        ``dead`` collects the flats surely outside the cut: those below a
+        hyperplane left out of S."""
+        todo = [(j, is_in)]
+        while todo:
+            j, is_in = todo.pop()
+            if is_in:
+                inside |= 1 << j
+                for hf in forbidden[j]:
+                    if hf & ~inside == 0:
                         return None
-                    if not add(m):
+            else:
+                outside |= 1 << j
+                dead |= below[j]
+            for hc in colines[j]:
+                cin = hc & inside
+                if cin & (cin - 1):
+                    if hc & outside:
                         return None
-        return frozenset(members)
+                    new = hc & ~inside
+                    if new:
+                        inside |= new
+                        todo.extend((k, True) for k in _mask_atoms(new))
+                elif cin and hc & outside:
+                    new = hc & ~inside & ~outside
+                    if new:
+                        outside |= new
+                        todo.extend((k, False) for k in _mask_atoms(new))
+        return inside, outside, dead
 
-    def child_keeps_base_modular(members):
-        for g in range(n_f):
-            if g in members:
-                continue
-            if any(c in members for c in covers_up[g]):
-                continue
-            if lat.join(fi, g) in members:
-                return False
-        return True
+    # the base-top condition only concerns flats g not above the base top
+    ups_fi = lat.upsets()[fi]
+    joined = {}   # X above the base top -> flats g not above it with g v fi = X
+    for g in range(n_f):
+        if not ups_fi >> g & 1:
+            x = lat.join(fi, g)
+            joined[x] = joined.get(x, 0) | 1 << g
+    joined = [(hyps[x], gs) for x, gs in joined.items()]
+    covers = [sum(1 << c for c in covers_up[g]) for g in range(n_f)]
 
-    cuts = {}
-    singles = {}
-    for g in candidates:
-        m = close((g,))
-        singles[g] = m
-        if m is not None:
-            cuts.setdefault(m, (g,))
-    pairs = {}
-    if antichain_cap >= 2:
-        for a, b in itertools.combinations(candidates, 2):
-            if singles[a] is None or singles[b] is None:
-                continue
-            ma, mb = masks[a], masks[b]
-            if ma | mb == mb or mb | ma == ma:
-                continue
-            if b in singles[a] or a in singles[b]:
-                continue
-            m = close((a, b))
-            pairs[(a, b)] = m
-            if m is not None:
-                cuts.setdefault(m, (a, b))
-    if antichain_cap >= 3:
-        for (a, b), mab in pairs.items():
-            if mab is None:
-                continue
-            for c in candidates:
-                if c <= b or c in mab or singles[c] is None:
-                    continue
-                mc, ma, mb = masks[c], masks[a], masks[b]
-                if ma | mc in (mc, ma) or mb | mc in (mc, mb):
-                    continue
-                if ma | mc == mc or mc | ma == ma:
-                    continue
-                if mb | mc == mc or mc | mb == mb:
-                    continue
-                m = close((a, b, c))
-                if m is not None:
-                    cuts.setdefault(m, (a, b, c))
-    return [m for m in cuts if child_keeps_base_modular(m)]
+    def loses_base_modularity(inside, dead):
+        for hx, gs in joined:
+            if hx & ~inside == 0:
+                for g in _mask_atoms(gs & dead):
+                    if covers[g] & ~dead == 0:
+                        return True
+        return False
+
+    full_h = (1 << n_h) - 1
+    full_f = (1 << n_f) - 1
+    stack = [(0, 0, 0)]
+    while stack:
+        inside, outside, dead = stack.pop()
+        if loses_base_modularity(inside, dead):
+            continue
+        open_ = full_h & ~(inside | outside)
+        if not open_:
+            yield frozenset(_mask_atoms(full_f & ~dead))
+            continue
+        j = (open_ & -open_).bit_length() - 1
+        for is_in in (False, True):
+            nxt = decide(inside, outside, dead, j, is_in)
+            if nxt is not None:
+                stack.append(nxt)
 
 
 def _child_lattice(entry: CatalogEntry, members, label):
@@ -594,46 +603,48 @@ def _child_lattice(entry: CatalogEntry, members, label):
                             validate=False)
 
 
-def catalog(base: GeometricLattice, max_new_atoms: int, max_extra_rank: int,
-            antichain_cap: int = 3):
+def catalog(base: GeometricLattice, max_new_atoms: int, max_extra_rank: int):
     """All modular extensions of the base within the bounds, canonical and
-    deduplicated, ordered by (new-atom count, certificate); kept on ``base``."""
+    deduplicated, ordered by (new-atom count, certificate).
+
+    The levels (one per new-atom count) are kept on ``base`` per extra-rank
+    bound, so a larger atom bound extends the levels already built.
+    """
     if base.is_trivial:
         raise NotGeometric("extensions of the one-point lattice are not defined")
-    key = (max_new_atoms, max_extra_rank, antichain_cap)
-    hit = base._catalogs.get(key)
-    if hit is not None:
-        return hit
-    root, _ = _canonical_entry(base, base, 0, 0)
-    levels = [{root.certificate: root}]
-    for level in range(max_new_atoms):
-        nxt = {}
-        for entry in levels[level].values():
-            children = []
-            if entry.extra_rank < max_extra_rank:
-                children.append(frozenset())
-            children.extend(_valid_cuts(entry, antichain_cap))
-            for members in children:
-                if members:
-                    child = _child_lattice(entry, members, "@new")
-                    extra = entry.extra_rank
-                else:
-                    child = direct_product(
-                        entry.lat, build_boolean(1, atoms=("@new",)))
-                    extra = entry.extra_rank + 1
-                cand, _ = _canonical_entry(child, base, level + 1, extra)
-                if cand.certificate not in nxt:
-                    nxt[cand.certificate] = cand
-        levels.append(nxt)
-    out = []
-    for lvl in levels:
-        out.extend(lvl[c] for c in sorted(lvl))
-    base._catalogs[key] = out
-    return out
+    levels = base._catalogs.get(max_extra_rank)
+    if levels is None:
+        root, _ = _canonical_entry(base, base, 0, 0)
+        levels = base._catalogs[max_extra_rank] = [[root]]
+    while len(levels) <= max_new_atoms:
+        levels.append(_next_level(base, levels[-1], len(levels),
+                                  max_extra_rank))
+    return [e for lvl in levels[:max_new_atoms + 1] for e in lvl]
+
+
+def _next_level(base, entries, level, max_extra_rank):
+    """The canonical children of ``entries`` with one more atom, sorted by
+    certificate."""
+    nxt = {}
+    for entry in entries:
+        children = _valid_cuts(entry)
+        if entry.extra_rank < max_extra_rank:
+            children = itertools.chain((frozenset(),), children)
+        for members in children:
+            if members:
+                child = _child_lattice(entry, members, "@new")
+                extra = entry.extra_rank
+            else:
+                child = direct_product(
+                    entry.lat, build_boolean(1, atoms=("@new",)))
+                extra = entry.extra_rank + 1
+            cand, _ = _canonical_entry(child, base, level, extra)
+            nxt.setdefault(cand.certificate, cand)
+    return [nxt[c] for c in sorted(nxt)]
 
 
 def enumerate_modular_extensions(base: GeometricLattice, max_new_atoms: int,
-                                 max_extra_rank: int, antichain_cap: int = 3):
+                                 max_extra_rank: int):
     """Public wrapper around the catalog returning ModularExtension values."""
     return [e.as_modular_extension(base)
-            for e in catalog(base, max_new_atoms, max_extra_rank, antichain_cap)]
+            for e in catalog(base, max_new_atoms, max_extra_rank)]

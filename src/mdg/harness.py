@@ -70,8 +70,7 @@ def _betti_as_str_keys(d):
 
 
 def run_verify_qiso(lat: GeometricLattice, max_new_atoms=3, max_extra_rank=2,
-                    antichain_cap=3, *, name=None,
-                    timeout=None) -> VerificationReport:
+                    *, name=None, timeout=None) -> VerificationReport:
     """Pipeline: validate, supersolvability, Hilbert series, truncated
     cohomology of the top-grading block at the bounds and at one more atom,
     then compare the (nullity, degree) cells that either run determines
@@ -130,11 +129,9 @@ def run_verify_qiso(lat: GeometricLattice, max_new_atoms=3, max_extra_rank=2,
     check_deadline("series checks")
     t0 = time.time()
     alg = algebra_for(lat)
-    lo = alg.cohomology_block(lat.top, (max_new_atoms, max_extra_rank,
-                                        antichain_cap))
+    lo = alg.cohomology_block(lat.top, (max_new_atoms, max_extra_rank))
     check_deadline("cohomology at the base bounds")
-    hi = alg.cohomology_block(lat.top, (max_new_atoms + 1, max_extra_rank,
-                                        antichain_cap))
+    hi = alg.cohomology_block(lat.top, (max_new_atoms + 1, max_extra_rank))
     check_deadline("cohomology at the stability bounds")
     rep.timings["cohomology"] = time.time() - t0
     rep.tables["betti"] = _betti_as_str_keys(lo.betti)
@@ -160,7 +157,7 @@ def run_verify_qiso(lat: GeometricLattice, max_new_atoms=3, max_extra_rank=2,
                 if got != want or got != first:
                     mismatches.append({"cell": list(cell), "expected": want,
                                        "got": got,
-                                       "bounds": list(blk.bounds[:2])})
+                                       "bounds": list(blk.bounds)})
         need = determining_bounds(lo.grading_rank, *target)
         details = {}
         if target not in exact:
@@ -214,7 +211,7 @@ def _tensor_product(t1: TensorVector, t2: TensorVector, low_alg, up_alg):
 
 
 def run_axiom_suite(lat: GeometricLattice, max_new_atoms=3, max_extra_rank=2,
-                    antichain_cap=3, seed=0, pair_limit=400, sample=60,
+                    seed=0, pair_limit=400, sample=60,
                     *, name=None) -> VerificationReport:
     """Structural identities of the diagram algebra, exhaustive per diagram
     and seeded-sampled over pairs/flats where quadratic cost demands."""
@@ -222,7 +219,7 @@ def run_axiom_suite(lat: GeometricLattice, max_new_atoms=3, max_extra_rank=2,
     rep = VerificationReport(name or lat.name or "lattice",
                              (max_new_atoms, max_extra_rank))
     alg = algebra_for(lat)
-    bounds = (max_new_atoms, max_extra_rank, antichain_cap)
+    bounds = (max_new_atoms, max_extra_rank)
     t0 = time.time()
     blocks = alg.diagrams_within(bounds)
     diags = [d for ds in blocks.values() for d in ds]

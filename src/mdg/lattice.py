@@ -89,7 +89,7 @@ class GeometricLattice:
         self._circuits = None
         self._modular_cache = {}
         self._intervals = {}    # flat -> (interval below, interval above)
-        self._catalogs = {}     # catalog bounds -> entries (extensions.catalog)
+        self._catalogs = {}     # extra-rank bound -> catalog levels (extensions)
 
         n = len(atoms)
         full = (1 << n) - 1
@@ -417,6 +417,12 @@ class Embedding:
                 raise NotGeometric("embedding is not join-compatible",
                                    witness=(src.atoms_of(a), src.atoms_of(b)))
         return self
+
+
+def same_lattice(l1: GeometricLattice, l2: GeometricLattice) -> bool:
+    """The same atom labels in the same order and the same flats."""
+    return l1 is l2 or (l1.atoms == l2.atoms
+                        and l1.flat_masks == l2.flat_masks)
 
 
 def identity_embedding(lat: GeometricLattice) -> Embedding:

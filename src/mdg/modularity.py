@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .canon import canonical_form
 from .errors import NotGeometric, NotModular
 from .lattice import GeometricLattice, interval, _check_flats, build_from_graph
 
@@ -121,9 +120,6 @@ class ModularChain:
         return tuple(len(j) for j in self.j_sets)
 
 
-_SSOLV_MEMO = {}
-
-
 def is_supersolvable(lat: GeometricLattice):
     """Search for a maximal chain of modular flats, top-down over coatoms.
 
@@ -150,22 +146,12 @@ def _chain_search(lat: GeometricLattice):
         return [lat.bottom]
     if lat.rank == 1:
         return [lat.bottom, lat.top]
-    # negative results are the expensive part of the search; cache them by
-    # canonical certificate (positives are found fast and must be rebuilt
-    # on the concrete lattice anyway)
-    memo_key = None
-    if lat.n_atoms <= 9:
-        memo_key = canonical_form(lat).certificate
-        if _SSOLV_MEMO.get(memo_key) is False:
-            return None
     coatoms = sorted(modular_coatoms(lat), key=lat.atoms_of)
     for c in coatoms:
         sub, to_parent, _ = interval(lat, lat.bottom, c)
         subchain = _chain_search(sub)
         if subchain is not None:
             return [to_parent[f] for f in subchain] + [lat.top]
-    if memo_key is not None:
-        _SSOLV_MEMO[memo_key] = False
     return None
 
 

@@ -87,7 +87,7 @@ def test_criterion_1_qiso_supersolvable(name, expected):
     determining = [blk for blk in (lo, hi) if blk.is_exact(*cell)]
     top_ok = bool(determining) and all(
         blk.cell_betti.get(cell, 0) == expected for blk in determining)
-    others = {(blk.bounds[:2], c): blk.cell_betti[c] for blk in (lo, hi)
+    others = {(blk.bounds, c): blk.cell_betti[c] for blk in (lo, hi)
               for c in blk.exact_cells if c != cell}
     concentrated = not any(others.values())
     both = [c for c in set(lo.exact_cells) | set(hi.exact_cells)
@@ -95,7 +95,7 @@ def test_criterion_1_qiso_supersolvable(name, expected):
     agree = all(lo.cell_betti.get(c, 0) == hi.cell_betti.get(c, 0)
                 for c in both)
     ok = top_ok and concentrated and agree
-    got = {blk.bounds[:2]: blk.cell_betti.get(cell, 0) for blk in determining}
+    got = {blk.bounds: blk.cell_betti.get(cell, 0) for blk in determining}
     report("1", ok,
            f"{name}: H^{lat.rank} of nullity 0 = {got} (expected {expected}), "
            f"other exact cells {others}, runs agree {agree}")

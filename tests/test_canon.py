@@ -1,8 +1,8 @@
 """Canonical labelling: a golden digest of certificates and labellings,
 and the automorphism generators against brute force.
 
-Every isomorphism deduplication (catalog children, normalized diagrams,
-the supersolvability memo) goes through ``canonical_form``, so its
+Every isomorphism deduplication (catalog children, normalized diagrams)
+goes through ``canonical_form``, so its
 ``certificate`` and ``perm`` must stay byte-identical whenever the search
 changes.  ``GOLDEN`` holds a SHA-256 digest per input family, made from
 ``(certificate, perm)`` of every input below; for the large catalogs, from

@@ -5,10 +5,11 @@ import pytest
 
 from conftest import assert_geometric_bruteforce, brute_closure, flats_of
 from mdg.canon import canonical_form, certificates_equal
-from mdg.corpus import seven_point_plane
+from mdg.corpus import build_corpus_lattice, seven_point_plane
 from mdg.errors import DegenerateCut, MismatchedBase, NotAModularCut, \
     NotGeometric, NotModularCoatom
 from mdg.extensions import (
+    _valid_cuts,
     ModularCut,
     ModularExtension,
     catalog,
@@ -289,6 +290,18 @@ def test_catalog_not_shared_after_id_reuse():
             assert entry.lat.atoms[:entry.n_base] == b2.atoms
 
 
+def test_catalog_extends_cached_levels(pi3):
+    # a larger atom bound extends the levels built for a smaller one
+    small = catalog(pi3, 2, 2)
+    big = catalog(pi3, 3, 2)
+    assert len(big) > len(small)
+    assert all(a is b for a, b in zip(small, big))
+    assert [(e.level, e.certificate) for e in big] == \
+        sorted((e.level, e.certificate) for e in big)
+    assert catalog(pi3, 2, 2) == small
+    assert catalog(pi3, 3, 1) != big
+
+
 def test_enumerate_entries_are_valid(pi3):
     for ext in enumerate_modular_extensions(pi3, 3, 1):
         ext.validate()
@@ -353,6 +366,90 @@ def test_enumerate_complete_against_brute_catalog(pi2):
     got = {e.certificate for e in catalog(pi2, 2, 2)
            if e.lat.n_atoms >= 2}
     assert found == got
+
+
+# catalogs whose entries with at most ORACLE_MAX_HYPERPLANES hyperplanes
+# the brute-force oracle below checks (k4 is pi4 again)
+ORACLE_CATALOGS = (("pi3", (4, 2)), ("pi4", (3, 2)), ("b2", (4, 2)),
+                   ("b3", (3, 2)), ("c4", (3, 2)), ("plane8", (2, 2)))
+ORACLE_MAX_HYPERPLANES = 12
+
+
+def _oracle_cuts(entry):
+    """Every usable cut of the entry, from all subsets of its hyperplanes:
+    the flats whose hyperplanes all lie in the subset, kept when they form
+    a modular cut that avoids the atoms and the flats below the base top,
+    and whose single-element extension keeps the base top modular."""
+    lat = entry.lat
+    hyps = lat.by_rank[lat.rank - 1]
+    above = [sum(1 << j for j, h in enumerate(hyps) if lat.leq(f, h))
+             for f in range(lat.n_flats)]
+    base_mask = entry.base_mask
+    out = set()
+    for bits in range(1 << len(hyps)):
+        members = frozenset(f for f in range(lat.n_flats)
+                            if above[f] & ~bits == 0)
+        if any(lat.ranks[f] <= 1 or lat.leq(f, entry.top) for f in members):
+            continue
+        if not is_modular_cut(lat, members)[0]:
+            continue
+        child, _ = single_element_extension(lat, modular_cut(lat, members),
+                                            "@x")
+        if is_modular(child, child.closure(base_mask)):
+            out.add(members)
+    return out
+
+
+@pytest.mark.parametrize("name,bounds", ORACLE_CATALOGS,
+                         ids=[n for n, _ in ORACLE_CATALOGS])
+def test_valid_cuts_complete_against_hyperplane_subsets(name, bounds):
+    checked = 0
+    for entry in catalog(build_corpus_lattice(name), *bounds):
+        lat = entry.lat
+        if lat.rank < 2 or len(lat.by_rank[lat.rank - 1]) > \
+                ORACLE_MAX_HYPERPLANES:
+            continue
+        got = list(_valid_cuts(entry))
+        assert len(got) == len(set(got))
+        assert set(got) == _oracle_cuts(entry), entry.certificate
+        checked += 1
+    assert checked
+
+
+def _cut_closure(lat, gens):
+    """Smallest modular cut containing the flats ``gens``."""
+    members = {g for f in gens for g in range(lat.n_flats) if lat.leq(f, g)}
+    while True:
+        new = set()
+        for f1, f2 in itertools.combinations(members, 2):
+            m, j = lat.meet(f1, f2), lat.join(f1, f2)
+            if m not in members and (lat.ranks[f1] + lat.ranks[f2]
+                                     == lat.ranks[m] + lat.ranks[j]):
+                new |= {g for g in range(lat.n_flats) if lat.leq(m, g)}
+        if not new:
+            return frozenset(members)
+        members |= new
+
+
+def test_valid_cuts_include_cuts_needing_four_generators(pi3):
+    # closing sets of at most three flats misses these cuts: four
+    # hyperplanes of a rank-4 extension, pairwise meeting in a point, so no
+    # modular pair among them adds anything to fewer of them.  A cut of at
+    # most four flats, the top among them, is generated by the other three.
+    found = []
+    for entry in catalog(pi3, 4, 2):
+        lat = entry.lat
+        for members in _valid_cuts(entry):
+            if len(members) < 5 or not is_modular_cut(lat, members)[0]:
+                continue
+            if all(_cut_closure(lat, gens) != members
+                   for k in (1, 2, 3)
+                   for gens in itertools.combinations(sorted(members), k)):
+                found.append(members)
+                hyps = set(lat.by_rank[lat.rank - 1])
+                assert len(members) == 5 and lat.top in members
+                assert members - {lat.top} <= hyps
+    assert len(found) == 6
 
 
 def test_enumerate_u_line_family(pi2):
