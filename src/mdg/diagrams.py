@@ -33,10 +33,6 @@ from .os_algebra import OSElement, reduce_to_nbc, _word_sign
 ZERO = None  # sentinel for normalized-to-zero
 
 
-def _lattice_sig(lat: GeometricLattice):
-    return (lat.atoms, lat.flat_masks)
-
-
 @dataclass(frozen=True)
 class Diagram:
     """A normalized nonzero modular diagram (canonical representative)."""
@@ -159,7 +155,7 @@ _ALGEBRAS = {}
 
 
 def algebra_for(base: GeometricLattice) -> "DiagramAlgebra":
-    sig = _lattice_sig(base)
+    sig = (base.atoms, base.flat_masks)   # the identity of same_lattice
     alg = _ALGEBRAS.get(sig)
     if alg is None:
         alg = DiagramAlgebra(base)

@@ -561,12 +561,12 @@ def _valid_cuts(entry: CatalogEntry):
 
     # the base-top condition only concerns flats g not above the base top
     ups_fi = lat.upsets()[fi]
-    joined = {}   # X above the base top -> flats g not above it with g v fi = X
+    by_join = {}  # X above the base top -> flats g not above it, g v fi = X
     for g in range(n_f):
         if not ups_fi >> g & 1:
             x = lat.join(fi, g)
-            joined[x] = joined.get(x, 0) | 1 << g
-    joined = [(hyps[x], gs) for x, gs in joined.items()]
+            by_join[x] = by_join.get(x, 0) | 1 << g
+    joined = [(hyps[x], gs) for x, gs in by_join.items()]
     covers = [sum(1 << c for c in covers_up[g]) for g in range(n_f)]
 
     def loses_base_modularity(inside, dead):
