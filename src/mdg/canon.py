@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import ForeignFlat
-from .lattice import GeometricLattice, _mask_atoms
+from .lattice import GeometricLattice, _mask_atoms, _move_masks
 
 
 @dataclass(frozen=True)
@@ -45,14 +45,7 @@ class CanonicalForm:
 
 
 def _apply_perm(masks, perm):
-    out = []
-    for m in masks:
-        nm = 0
-        for i in _mask_atoms(m):
-            nm |= 1 << perm[i]
-        out.append(nm)
-    out.sort()
-    return tuple(out)
+    return tuple(sorted(_move_masks(masks, perm)))
 
 
 def _incidence(lat: GeometricLattice):

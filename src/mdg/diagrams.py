@@ -26,7 +26,8 @@ from .errors import (
 )
 from .extensions import CatalogEntry, ModularExtension, _canonical_entry, catalog
 from .lattice import (Embedding, GeometricLattice, _mask_atoms, interval,
-                      intervals_at, restriction, same_lattice)
+                      intervals_at, parallel_connection, restriction,
+                      same_lattice)
 from .os_algebra import OSElement, reduce_to_nbc, _word_sign
 
 
@@ -174,8 +175,8 @@ class DiagramAlgebra:
         self._entries = {}          # certificate -> CatalogEntry
         self._raw_canon = {}        # raw structural key -> certificate
         self._contract_cache = {}   # (cert, atom pos) -> contraction machinery
+        self._entry_intervals = {}  # (cert, lo, hi) -> interval of the entry
         self._pushout_cache = {}    # (cert1, cert2) -> pushout machinery
-        self._entry_atom_flats = {} # cert -> per-atom flat index
         self._diagram_blocks = {}   # bounds -> {(grading, degree): [Diagram]}
 
     # ------------------------------------------------------------------
@@ -198,14 +199,6 @@ class DiagramAlgebra:
         entry = self._register_entry(entry)
         self._raw_canon[raw_key] = (entry.certificate, perm)
         return entry, perm
-
-    def atom_flats(self, entry: CatalogEntry):
-        af = self._entry_atom_flats.get(entry.certificate)
-        if af is None:
-            lat = entry.lat
-            af = tuple(lat.flat_index[1 << i] for i in range(lat.n_atoms))
-            self._entry_atom_flats[entry.certificate] = af
-        return af
 
     def normalize_raw(self, lat, atom_map, word_positions):
         """Normalize (lattice, base atom map, word); returns (sign, Diagram)
@@ -328,7 +321,7 @@ class DiagramAlgebra:
         if hit is not None:
             return hit
         lat = entry.lat
-        af = self.atom_flats(entry)
+        af = entry.atom_flats
         sub, to_parent, from_parent = interval(lat, af[p], lat.top)
         atom_pos = [None] * lat.n_atoms
         for x in range(lat.n_atoms):
@@ -383,31 +376,21 @@ class DiagramAlgebra:
         n1 = l1.n_atoms - nb
         labels = list(base.atoms)
         labels += [f"p{k+1}" for k in range(n1 + (l2.n_atoms - nb))]
-        base_all = (1 << nb) - 1
-        shift = l2.n_atoms - nb
-
-        parts1 = {}
-        for f1, m1 in enumerate(l1.flat_masks):
-            parts1.setdefault(m1 & base_all, []).append((f1, m1))
-        masks = {}
-        for f2, m2 in enumerate(l2.flat_masks):
-            bp = m2 & base_all
-            hi2 = (m2 >> nb) << (nb + n1)
-            r2 = l2.ranks[f2]
-            base_rank = base.rank_of_mask(bp)
-            for f1, m1 in parts1.get(bp, ()):
-                masks[m1 | hi2] = l1.ranks[f1] + r2 - base_rank
+        # the second side's new atoms follow the first side's
+        pos2 = tuple(i if i < nb else i + n1 for i in range(l2.n_atoms))
+        masks = parallel_connection(l1, range(l1.n_atoms), l2, pos2,
+                                    (1 << nb) - 1, base.rank_of_mask)
         lat = GeometricLattice(tuple(labels), masks.keys(), ranks=masks,
                                validate=False)
-        machinery = (lat, nb, n1)
+        machinery = (lat, pos2)
         self._pushout_cache[key] = machinery
         return machinery
 
     def product(self, d1: Diagram, d2: Diagram) -> DiagramVector:
-        lat, nb, n1 = self._pushout_machinery(d1.entry, d2.entry)
-        word1 = d1.word
-        word2 = tuple(p if p < nb else p + n1 for p in d2.word)
-        sign, res = self.normalize_raw(lat, tuple(range(nb)), word1 + word2)
+        lat, pos2 = self._pushout_machinery(d1.entry, d2.entry)
+        word = d1.word + tuple(pos2[p] for p in d2.word)
+        sign, res = self.normalize_raw(lat, tuple(range(self.base.n_atoms)),
+                                       word)
         return DiagramVector(self).add_term(sign, res)
 
     def product_vectors(self, v1: DiagramVector, v2: DiagramVector) -> DiagramVector:
@@ -452,7 +435,7 @@ class DiagramAlgebra:
         nb = diag.entry.n_base
         base_all = (1 << nb) - 1
         f_mask = base.flat_masks[flat]
-        af = self.atom_flats(diag.entry)
+        af = diag.entry.atom_flats
         out = TensorVector()
         word = diag.word
         for f, m in enumerate(lat.flat_masks):
@@ -514,10 +497,10 @@ class DiagramAlgebra:
         lo = entry.lat.bottom if lo is None else lo
         hi = entry.lat.top if hi is None else hi
         key = (entry.certificate, lo, hi)
-        hitv = self._contract_cache.get(key)
+        hitv = self._entry_intervals.get(key)
         if hitv is None:
             hitv = interval(lat, lo, hi)
-            self._contract_cache[key] = hitv
+            self._entry_intervals[key] = hitv
         return hitv
 
     # ------------------------------------------------------------------
@@ -561,29 +544,17 @@ class DiagramAlgebra:
         (lowL, _, _), _ = self.interval_data(flat)
         lat = low_diag.entry.lat
         nb_low = low_diag.entry.n_base
-        lpos = [base.atom_index[a] for a in lowL.atoms]
-        fmask = base.flat_masks[flat]
         n_new = lat.n_atoms - nb_low
+        # the low base atoms sit at their base positions, the new atoms last
+        pos = [base.atom_index[a] for a in lowL.atoms]
+        pos += [base.n_atoms + k for k in range(n_new)]
 
         labels = list(base.atoms) + [f"q{k+1}" for k in range(n_new)]
-        masks = {}
-        parts = {}
-        for g, gm in enumerate(lat.flat_masks):
-            bp = 0
-            for j in range(nb_low):
-                if gm >> j & 1:
-                    bp |= 1 << lpos[j]
-            parts.setdefault(bp, []).append((g, gm))
-        for f, m in enumerate(base.flat_masks):
-            bp = m & fmask
-            for g, gm in parts.get(bp, ()):
-                nm = m | ((gm >> nb_low) << base.n_atoms)
-                masks[nm] = base.ranks[f] + lat.ranks[g] \
-                    - base.rank_of_mask(bp)
+        masks = parallel_connection(base, range(base.n_atoms), lat, pos,
+                                    base.flat_masks[flat], base.rank_of_mask)
         big = GeometricLattice(tuple(labels), masks.keys(), ranks=masks,
                                validate=False)
-        word = tuple(lpos[p] if p < nb_low else base.n_atoms + (p - nb_low)
-                     for p in low_diag.word)
+        word = tuple(pos[p] for p in low_diag.word)
         return self.normalize_raw(big, tuple(range(base.n_atoms)), word)
 
     # ------------------------------------------------------------------
@@ -661,6 +632,8 @@ class DiagramAlgebra:
         block; the block ranks sum to the degree ranks.
         """
         from .linalg import RationalMatrix, betti_from_ranks, rank as matrix_rank
+        new_atoms, extra_rank = bounds      # a pair: no third slot here
+        bounds = (new_atoms, extra_rank)
         grading_rank = self.base.ranks[grading]
         blocks = {deg: list(diags)
                   for (g, deg), diags in self.diagrams_within(bounds).items()

@@ -24,10 +24,10 @@ from .lattice import (
     Embedding,
     GeometricLattice,
     _mask_atoms,
-    build_boolean,
-    direct_product,
+    _move_masks,
     identity_embedding,
     interval,
+    parallel_connection,
     same_lattice,
 )
 from .modularity import is_modular
@@ -192,71 +192,37 @@ def pushout(ext1: ModularExtension, ext2: ModularExtension, *, name=None):
         raise NotModular("neither side of the pushout is modular")
 
     e1, e2 = ext1.lat, ext2.lat
-    im1, im2 = ext1.embedding.atom_map, ext2.embedding.atom_map
-    img_mask1 = ext1.embedding.atom_image_mask()
-    img_mask2 = ext2.embedding.atom_image_mask()
-    new1 = [i for i in range(e1.n_atoms) if not img_mask1 >> i & 1]
-    new2 = [i for i in range(e2.n_atoms) if not img_mask2 >> i & 1]
-
     nb = base.n_atoms
     labels = list(base.atoms)
     supports = list(base.atom_supports)
     used = set(labels)
-    # new atoms are genuinely new elements of the glued lattice, so their
-    # supports restart at their own (possibly freshened) labels
-    pos1 = {}
-    for k, i in enumerate(new1):
-        lab = e1.atoms[i]
-        if lab in used:
-            lab = _fresh_label(lab, used)
-        used.add(lab)
-        labels.append(lab)
-        supports.append(frozenset([lab]))
-        pos1[i] = nb + k
-    pos2 = {}
-    for k, i in enumerate(new2):
-        lab = e2.atoms[i]
-        if lab in used:
-            lab = _fresh_label(lab, used)
-        used.add(lab)
-        labels.append(lab)
-        supports.append(frozenset([lab]))
-        pos2[i] = nb + len(new1) + k
-    for k, i in enumerate(im1):
-        pos1[i] = k
-    for k, i in enumerate(im2):
-        pos2[i] = k
+    # per side, the base images keep their base positions and the new
+    # atoms follow, the first side's before the second's; new atoms are
+    # genuinely new elements of the glued lattice, so their supports
+    # restart at their own (possibly freshened) labels
+    sides = []
+    for ext in (ext1, ext2):
+        pos = [None] * ext.lat.n_atoms
+        for k, i in enumerate(ext.embedding.atom_map):
+            pos[i] = k
+        for i, lab in enumerate(ext.lat.atoms):
+            if pos[i] is None:
+                if lab in used:
+                    lab = _fresh_label(lab, used)
+                used.add(lab)
+                pos[i] = len(labels)
+                labels.append(lab)
+                supports.append(frozenset([lab]))
+        sides.append(tuple(pos))
+    pos1, pos2 = sides
 
-    def translate(lat_from, pos):
-        out = []
-        for m in lat_from.flat_masks:
-            nm = 0
-            for i in _mask_atoms(m):
-                nm |= 1 << pos[i]
-            out.append(nm)
-        return out
-
-    tr1 = translate(e1, pos1)
-    tr2 = translate(e2, pos2)
-    base_all = (1 << nb) - 1
-
-    parts1 = {}
-    for f1 in range(e1.n_flats):
-        parts1.setdefault(tr1[f1] & base_all, []).append(f1)
-    masks = {}
-    for f2 in range(e2.n_flats):
-        bp = tr2[f2] & base_all
-        for f1 in parts1.get(bp, ()):
-            m = tr1[f1] | tr2[f2]
-            r = e1.ranks[f1] + e2.ranks[f2] - base.rank_of_mask(bp)
-            masks[m] = r
+    masks = parallel_connection(e1, pos1, e2, pos2, (1 << nb) - 1,
+                                base.rank_of_mask)
     lat = GeometricLattice(tuple(labels), masks.keys(), ranks=masks,
                            atom_supports=supports, validate=False, name=name)
     emb12 = Embedding(base, lat, tuple(range(nb)))
     result = ModularExtension.build(emb12)
-    emb_e1 = Embedding(e1, lat, tuple(pos1[i] for i in range(e1.n_atoms)))
-    emb_e2 = Embedding(e2, lat, tuple(pos2[i] for i in range(e2.n_atoms)))
-    return result, emb_e1, emb_e2
+    return result, Embedding(e1, lat, pos1), Embedding(e2, lat, pos2)
 
 
 def _fresh_label(lab, used):
@@ -308,7 +274,7 @@ def symmetric_extension(base: GeometricLattice, ext: ModularExtension,
         raise MismatchedBase("extension is neither over the base nor the interval")
 
     glued, emb_left, emb_right = pushout(left, right)
-    P = glued.target if isinstance(glued, Embedding) else glued.lat
+    P = glued.lat
 
     members = set()
     if over_base:
@@ -324,20 +290,14 @@ def symmetric_extension(base: GeometricLattice, ext: ModularExtension,
         for f, m in enumerate(P.flat_masks):
             if any(m & p == p for p in pairs):
                 members.add(f)
-    degenerate = not members
-
-    if degenerate:
-        b1 = build_boolean(1, atoms=(label,))
-        final = direct_product(P, b1)
-        emb_final = Embedding(base, final, emb_left.atom_map)
-    else:
-        cut = modular_cut(P, members)
-        final, emb_p = single_element_extension(P, cut, label)
-        emb_final = Embedding(base, final,
-                              tuple(emb_p.atom_map[emb_left.atom_map[a]]
-                                    for a in range(base.n_atoms)))
+    # an empty cut adds the new atom as a coloop: the degenerate case
+    final, emb_p = single_element_extension(P, modular_cut(P, members), label)
+    emb_final = Embedding(base, final,
+                          tuple(emb_p.atom_map[emb_left.atom_map[a]]
+                                for a in range(base.n_atoms)))
     result = ModularExtension.build(emb_final)
-    return SymmetricExtensionResult(result, P, frozenset(members), label, degenerate)
+    return SymmetricExtensionResult(result, P, frozenset(members), label,
+                                    not members)
 
 
 # ----------------------------------------------------------------------
@@ -352,8 +312,8 @@ class CatalogEntry:
     """
 
     __slots__ = ("lat", "n_base", "level", "extra_rank", "certificate",
-                 "top", "automorphisms", "has_odd_aut", "_above_top",
-                 "_rel4_dead", "_new_mask")
+                 "top", "automorphisms", "has_odd_aut", "atom_flats",
+                 "_above_top", "_rel4_dead", "_new_mask")
 
     def __init__(self, lat, n_base, level, extra_rank, certificate, top,
                  automorphisms):
@@ -370,6 +330,8 @@ class CatalogEntry:
             perm = [a[i] for i in idx_new]
             parities.add(_parity(perm, idx_new))
         self.has_odd_aut = -1 in parities
+        self.atom_flats = tuple(lat.flat_index[1 << i]
+                                for i in range(lat.n_atoms))
         self._above_top = None
         self._rel4_dead = None
         self._new_mask = ((1 << lat.n_atoms) - 1) ^ ((1 << n_base) - 1)
@@ -451,14 +413,8 @@ def _canonical_entry(lat, base, level, extra_rank, fixed_labels=None):
         used.add(lab)
         labels.append(lab)
         supports.append(frozenset([lab]))
-    ranks = {}
-    masks = []
-    for f, m in enumerate(lat.flat_masks):
-        nm = 0
-        for i in _mask_atoms(m):
-            nm |= 1 << perm[i]
-        masks.append(nm)
-        ranks[nm] = lat.ranks[f]
+    masks = _move_masks(lat.flat_masks, perm)
+    ranks = dict(zip(masks, lat.ranks))
     canon_lat = GeometricLattice(tuple(labels), masks, ranks=ranks,
                                  atom_supports=supports, validate=False)
     auts = tuple(tuple(perm[a[inv[i]]] for i in range(n))
@@ -631,14 +587,10 @@ def _next_level(base, entries, level, max_extra_rank):
         if entry.extra_rank < max_extra_rank:
             children = itertools.chain((frozenset(),), children)
         for members in children:
-            if members:
-                child = _child_lattice(entry, members, "@new")
-                extra = entry.extra_rank
-            else:
-                child = direct_product(
-                    entry.lat, build_boolean(1, atoms=("@new",)))
-                extra = entry.extra_rank + 1
-            cand, _ = _canonical_entry(child, base, level, extra)
+            # the empty cut adds a coloop, which raises the rank by one
+            child = _child_lattice(entry, members, "@new")
+            cand, _ = _canonical_entry(child, base, level,
+                                       entry.extra_rank + (not members))
             nxt.setdefault(cand.certificate, cand)
     return [nxt[c] for c in sorted(nxt)]
 

@@ -394,7 +394,7 @@ def _refactors(alg, diag) -> bool:
     new_word = [p for p in diag.word if p >= nb]
     if len(supports) <= 1 and not base_word:
         return True
-    af = alg.atom_flats(diag.entry)
+    af = diag.entry.atom_flats
     factor_of_new = {}
     for p in new_word:
         cover = from_parent[lat.join(diag.entry.top, af[p])]

@@ -37,6 +37,17 @@ def _mask_atoms(mask: int):
         mask ^= low
 
 
+def _move_masks(masks, pos):
+    """Each mask with atom position i moved to ``pos[i]``, as a list."""
+    out = []
+    for m in masks:
+        nm = 0
+        for i in _mask_atoms(m):
+            nm |= 1 << pos[i]
+        out.append(nm)
+    return out
+
+
 class GeometricLattice:
     """A finite geometric lattice over an ordered list of atom labels."""
 
@@ -60,7 +71,9 @@ class GeometricLattice:
         "_modular_cache",
         "_intervals",
         "_catalogs",
+        "_os",
         "name",
+        "__weakref__",
     )
 
     def __init__(self, atoms, flat_masks, *, ranks=None, atom_supports=None,
@@ -90,6 +103,7 @@ class GeometricLattice:
         self._modular_cache = {}
         self._intervals = {}    # flat -> (interval below, interval above)
         self._catalogs = {}     # extra-rank bound -> catalog levels (extensions)
+        self._os = None         # Orlik-Solomon context (os_algebra)
 
         n = len(atoms)
         full = (1 << n) - 1
@@ -661,15 +675,37 @@ def intervals_at(lat: GeometricLattice, flat: int):
     return hit
 
 
+def parallel_connection(l1: GeometricLattice, pos1, l2: GeometricLattice, pos2,
+                        shared: int, shared_rank):
+    """Flats and ranks of the generalized parallel connection of two
+    lattices along a common flat (Oxley, *Matroid Theory*, 2nd ed., 11.4).
+
+    ``pos1`` and ``pos2`` send each side's atom positions to positions in
+    the result, ``shared`` is the mask of the common atoms there, and
+    ``shared_rank`` ranks a submask of ``shared``.  A flat of the result
+    is the union of one flat from each side meeting ``shared`` in the same
+    mask; its rank is the two ranks less the rank of that common part.
+    Returns the mask -> rank dict.
+    """
+    parts1 = {}
+    for m1, r1 in zip(_move_masks(l1.flat_masks, pos1), l1.ranks):
+        parts1.setdefault(m1 & shared, []).append((m1, r1))
+    masks = {}
+    for m2, r2 in zip(_move_masks(l2.flat_masks, pos2), l2.ranks):
+        common = m2 & shared
+        r2 -= shared_rank(common)
+        for m1, r1 in parts1.get(common, ()):
+            masks[m1 | m2] = r1 + r2
+    return masks
+
+
 def direct_product(l1: GeometricLattice, l2: GeometricLattice, *, name=None):
+    """The parallel connection along the empty flat."""
     if set(l1.atoms) & set(l2.atoms):
         raise DuplicateAtom("factors share atom labels")
-    n1 = l1.n_atoms
-    masks = {}
-    for a, ma in enumerate(l1.flat_masks):
-        ra = l1.ranks[a]
-        for b, mb in enumerate(l2.flat_masks):
-            masks[ma | (mb << n1)] = ra + l2.ranks[b]
+    n1, n2 = l1.n_atoms, l2.n_atoms
+    masks = parallel_connection(l1, range(n1), l2, range(n1, n1 + n2), 0,
+                                lambda common: 0)
     return GeometricLattice(l1.atoms + l2.atoms, masks.keys(), ranks=masks,
                             atom_supports=l1.atom_supports + l2.atom_supports,
                             validate=False, name=name)

@@ -115,15 +115,11 @@ def _word_sign(positions) -> tuple:
     return tuple(arr), sign
 
 
-_CONTEXTS = {}
-
-
 def os_context(lat: GeometricLattice) -> OSContext:
-    ctx = _CONTEXTS.get(id(lat))
-    if ctx is None:
-        ctx = OSContext(lat)
-        _CONTEXTS[id(lat)] = ctx
-    return ctx
+    """The lattice's context, built once and kept on the lattice."""
+    if lat._os is None:
+        lat._os = OSContext(lat)
+    return lat._os
 
 
 @dataclass(frozen=True)

@@ -189,3 +189,17 @@ def group_closure(gens, n):
                 group.add(gh)
                 stack.append(gh)
     return group
+
+
+def grading_extension_lattice(alg, flat, low_diag):
+    """The lattice ``alg.grading_extend(flat, low_diag)`` builds, caught as
+    it is handed to ``normalize_raw``."""
+    seen = []
+    normalize_raw = alg.normalize_raw
+    alg.normalize_raw = lambda lat, *rest: (seen.append(lat)
+                                            or normalize_raw(lat, *rest))
+    try:
+        alg.grading_extend(flat, low_diag)
+    finally:
+        del alg.normalize_raw
+    return seen[-1]

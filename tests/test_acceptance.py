@@ -79,8 +79,8 @@ def test_criterion_1_qiso_supersolvable(name, expected):
         prod *= s
     assert prod == expected
     alg = algebra_for(lat)
-    lo = alg.cohomology_block(lat.top, (BOUNDS[0], BOUNDS[1], 3))
-    hi = alg.cohomology_block(lat.top, (BOUNDS[0] + 1, BOUNDS[1], 3))
+    lo = alg.cohomology_block(lat.top, (BOUNDS[0], BOUNDS[1]))
+    hi = alg.cohomology_block(lat.top, (BOUNDS[0] + 1, BOUNDS[1]))
     # the prediction lives in the nullity-0 summand, degree rank; compare
     # it on whichever run determines that cell exactly
     cell = (0, lat.rank)

@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+from conftest import grading_extension_lattice
 from mdg.diagrams import (
     DiagramVector,
     ZERO,
@@ -369,7 +370,7 @@ def test_cohomology_b_lattices(b2, b3):
 
 def test_cohomology_pi2(pi2):
     alg = algebra_for(pi2)
-    blk = alg.cohomology_block(pi2.top, (4, 2, 3))
+    blk = alg.cohomology_block(pi2.top, (4, 2))
     assert blk.betti == {1: 1}
 
 
@@ -380,7 +381,7 @@ def test_cohomology_euler_characteristic(pi3):
     from mdg.os_algebra import hilbert_series
     target = hilbert_series(pi3)[pi3.rank] * (-1) ** pi3.rank
     for ba in (0, 2, 3, 4):
-        blk = alg.cohomology_block(pi3.top, (ba, 2, 3))
+        blk = alg.cohomology_block(pi3.top, (ba, 2))
         chi = sum((-1) ** k * v for k, v in blk.dims.items())
         assert chi == target
 
@@ -405,8 +406,8 @@ def test_exact_cell_rule_pi4(pi4):
     # the predicted cell (nullity 0, degree 3) has extra rank 0; its degree-2
     # neighbour needs extra rank 1 and up to 3 + 1 + 0 = 4 new atoms
     alg = algebra_for(pi4)
-    lo = alg.cohomology_block(pi4.top, (3, 2, 3))
-    hi = alg.cohomology_block(pi4.top, (4, 2, 3))
+    lo = alg.cohomology_block(pi4.top, (3, 2))
+    hi = alg.cohomology_block(pi4.top, (4, 2))
     assert determining_bounds(pi4.rank, 0, pi4.rank) == (4, 1)
     assert not lo.is_exact(0, 3) and (0, 3) not in lo.exact_cells
     assert hi.is_exact(0, 3) and (0, 3) in hi.exact_cells
@@ -422,7 +423,7 @@ def test_b2_zero_differential_generators_are_undetermined(b2):
     # the predicted class, its generators sit in cells of nullity 2 and 3
     # that need extra rank 3 to be determined
     alg = algebra_for(b2)
-    blk = alg.cohomology_block(b2.top, (5, 2, 3))
+    blk = alg.cohomology_block(b2.top, (5, 2))
     assert not any(blk.ranks.values())
     assert blk.exact_cells == ((0, 2),) and blk.cell_betti[(0, 2)] == 1
     extra = {c: v for c, v in blk.cell_betti.items() if c != (0, 2) and v}
@@ -550,7 +551,8 @@ def test_differential_on_partial_words_random(pi3):
 
 
 def test_internal_constructions_revalidate(pi3, pi4):
-    # lattices produced by the trusted fast paths satisfy the full axioms
+    # lattices produced by the trusted fast paths satisfy the full axioms,
+    # and the ranks they were given are the ones the axioms compute
     from mdg.extensions import catalog, pushout, ModularExtension as ME
     for e in catalog(pi3, 2, 2)[:8]:
         GeometricLattice(e.lat.atoms, e.lat.flat_masks)
@@ -558,3 +560,17 @@ def test_internal_constructions_revalidate(pi3, pi4):
     ext = ME.build(emb)
     result, _, _ = pushout(ext, ext)
     GeometricLattice(result.lat.atoms, result.lat.flat_masks)
+    # the product's pushout of two two-atom extensions
+    two = catalog(pi3, 2, 2)[-1]
+    lat, _ = algebra_for(pi3)._pushout_machinery(two, two)
+    assert lat.n_atoms == pi3.n_atoms + 4
+    assert GeometricLattice(lat.atoms, lat.flat_masks).ranks == lat.ranks
+    # a grading extension along a proper flat, with new atoms
+    alg = algebra_for(pi4)
+    diag = next(d for (g, _), ds in alg.diagrams_within((3, 2)).items()
+                if g not in (pi4.bottom, pi4.top) for d in ds
+                if d.entry.lat.n_atoms > pi4.n_atoms)
+    _, low = alg.grading_restrict(diag)
+    big = grading_extension_lattice(alg, diag.grading, low)
+    assert big.n_atoms > pi4.n_atoms
+    assert GeometricLattice(big.atoms, big.flat_masks).ranks == big.ranks

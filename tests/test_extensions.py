@@ -3,9 +3,11 @@ import itertools
 
 import pytest
 
-from conftest import assert_geometric_bruteforce, brute_closure, flats_of
+from conftest import (assert_geometric_bruteforce, brute_closure, flats_of,
+                      grading_extension_lattice)
 from mdg.canon import canonical_form, certificates_equal
 from mdg.corpus import build_corpus_lattice, seven_point_plane
+from mdg.diagrams import ZERO, algebra_for
 from mdg.errors import DegenerateCut, MismatchedBase, NotAModularCut, \
     NotGeometric, NotModularCoatom
 from mdg.extensions import (
@@ -516,3 +518,61 @@ def test_pushout_interval_splitting(pi3, pi4):
         if certificates_equal(glued.lat, upper):
             checked += 1
     assert checked >= 3
+
+
+def _connection_flats(n_atoms, sides):
+    """Flats of a generalized parallel connection by Oxley, *Matroid
+    Theory*, 2nd ed., Prop. 11.4.14: a subset X of the ground set is a
+    flat iff X meets each side's ground set in a flat of that side.
+    ``sides`` pairs each side's lattice with the positions of its atoms in
+    the connection."""
+    assert set().union(*(pos for _, pos in sides)) == set(range(n_atoms))
+    return {x for x in range(1 << n_atoms)
+            if all(sum(1 << i for i, p in enumerate(pos) if x >> p & 1)
+                   in side.flat_index for side, pos in sides)}
+
+
+@pytest.mark.parametrize("name", ["pi3", "pi4", "b3"])
+def test_pushouts_match_the_parallel_connection_flats(name):
+    base = build_corpus_lattice(name)
+    alg = algebra_for(base)
+    nb = base.n_atoms
+    entries = catalog(base, 2, 2)[:12]
+    for e1, e2 in itertools.combinations_with_replacement(entries, 2):
+        l1, l2 = e1.lat, e2.lat
+        # the product's pushout: the second side's new atoms come last
+        lat, _ = alg._pushout_machinery(e1, e2)
+        pos2 = list(range(nb)) + list(range(l1.n_atoms,
+                                            l1.n_atoms + l2.n_atoms - nb))
+        sides = [(l1, range(l1.n_atoms)), (l2, pos2)]
+        assert set(lat.flat_masks) == _connection_flats(lat.n_atoms, sides)
+        # the public pushout, glued along the base atoms
+        result, emb1, emb2 = pushout(e1.as_modular_extension(base),
+                                     e2.as_modular_extension(base))
+        assert emb1.atom_map[:nb] == emb2.atom_map[:nb] == tuple(range(nb))
+        sides = [(l1, emb1.atom_map), (l2, emb2.atom_map)]
+        assert set(result.lat.flat_masks) == \
+            _connection_flats(result.lat.n_atoms, sides)
+
+
+def test_grading_extensions_match_the_parallel_connection_flats(pi4):
+    # the low extension is glued to the base along the grading flat; at
+    # (3, 2) some of them have new atoms, at (2, 1) none does
+    alg = algebra_for(pi4)
+    nb = pi4.n_atoms
+    checked = 0
+    for (g, _), diags in alg.diagrams_within((3, 2)).items():
+        if g == pi4.bottom:
+            continue    # no diagrams over the one-point lattice
+        for diag in diags:
+            _, low = alg.grading_restrict(diag)
+            assert low is not ZERO
+            big = grading_extension_lattice(alg, g, low)
+            low_lat, n_low = low.entry.lat, low.entry.n_base
+            pos = [pi4.atom_index[a] for a in low_lat.atoms[:n_low]]
+            assert sum(1 << p for p in pos) == pi4.flat_masks[g]
+            pos += range(nb, nb + low_lat.n_atoms - n_low)
+            sides = [(pi4, range(nb)), (low_lat, pos)]
+            assert set(big.flat_masks) == _connection_flats(big.n_atoms, sides)
+            checked += big.n_atoms > nb
+    assert checked

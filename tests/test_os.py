@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 from mdg.errors import LatticeMismatch
@@ -210,3 +212,14 @@ def test_os_coproduct_generators(pi3):
     cop2, _, _ = os_coproduct(above, f)
     (lm2, um2), = cop2.keys()
     assert lm2 == 0 and um2 != 0  # 1 ⊗ e_{F∨H} otherwise
+
+
+def test_os_context_does_not_keep_its_lattice_alive():
+    # the context lives on the lattice, so a dropped lattice is collected
+    lat = build_partition_lattice(4)
+    elem = reduce_to_nbc(lat, ["1-2", "1-3", "3-4"])
+    os_coproduct(elem, lat.flat_of_atoms(["1-2", "1-3", "2-3"]))
+    ref = weakref.ref(lat)
+    del lat, elem
+    gc.collect()
+    assert ref() is None
