@@ -1,7 +1,10 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 from mdg.cli import main as cli_main
 from mdg.harness import (
@@ -19,6 +22,48 @@ def run_cli(*argv):
     with redirect_stdout(buf):
         code = cli_main(list(argv))
     return code, buf.getvalue()
+
+
+# The --json output (timings dropped) and exit code of each command below,
+# at the default bounds (3, 2), hashed per command.  A change that must not
+# alter any output keeps every digest.
+CLI_GOLDEN_RUNS = {
+    "verify-qiso": [["verify-qiso", "--lattice", name]
+                    for name in ("pi3", "b2", "b3", "pi4", "k4", "c4")],
+    "axioms": [["axioms", "--lattice", name]
+               for name in ("pi4", "plane8", "b3")],
+    "md-cohomology": [["md", "cohomology", "--lattice", name]
+                      for name in ("pi3", "pi4", "b2")],
+    "extensions-enumerate": [["extensions", "enumerate", "--lattice", name]
+                             for name in ("pi3", "pi4", "b3", "plane8")],
+}
+
+CLI_GOLDEN = {
+    "verify-qiso": "b17a074759282b1bf95cb1e4a74d40bf"
+                 "d62735c95ad379975c278a0b8110d8f8",
+    "axioms": "dc851c9c6be58d6e17da0d71a2e58d60"
+            "9c1b5fa8e97c3fcfb63a9da7116c8bfb",
+    "md-cohomology": "4d5c32f670c4f7600645278de14124bc"
+                   "43d0916e38bbac6e42dcd75f3dc093ea",
+    "extensions-enumerate": "984f58497e76ab7d1c06fa9484156681"
+                          "b36a1a4b1e20d07810b1855e89be24e5",
+}
+
+
+def cli_digest(runs):
+    h = hashlib.sha256()
+    for argv in runs:
+        code, out = run_cli(*argv, "--json")
+        data = json.loads(out)
+        data.pop("timings", None)
+        h.update(" ".join(argv).encode() + b"|" + str(code).encode() + b"|"
+                 + json.dumps(data, sort_keys=True).encode() + b"\n")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("command", sorted(CLI_GOLDEN_RUNS))
+def test_cli_outputs_match_golden_digest(command):
+    assert cli_digest(CLI_GOLDEN_RUNS[command]) == CLI_GOLDEN[command]
 
 
 def test_verify_qiso_pi3_report(pi3):
