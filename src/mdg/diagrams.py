@@ -25,9 +25,8 @@ from .errors import (
     NotIso,
 )
 from .extensions import CatalogEntry, ModularExtension, _canonical_entry, catalog
-from .lattice import (Embedding, GeometricLattice, _mask_atoms, interval,
-                      intervals_at, parallel_connection, restriction,
-                      same_lattice)
+from .lattice import (Embedding, GeometricLattice, _mask_atoms, interval_at,
+                      parallel_connection, restriction, same_lattice)
 from .os_algebra import OSElement, reduce_to_nbc, _word_sign
 
 
@@ -174,8 +173,6 @@ class DiagramAlgebra:
         self.base = base
         self._entries = {}          # certificate -> CatalogEntry
         self._raw_canon = {}        # raw structural key -> certificate
-        self._contract_cache = {}   # (cert, atom pos) -> contraction machinery
-        self._entry_intervals = {}  # (cert, lo, hi) -> interval of the entry
         self._pushout_cache = {}    # (cert1, cert2) -> pushout machinery
         self._diagram_blocks = {}   # bounds -> {(grading, degree): [Diagram]}
 
@@ -301,39 +298,6 @@ class DiagramAlgebra:
         """
         return [k for k, p in enumerate(diag.word) if p >= diag.entry.n_base]
 
-    def is_bridge(self, diag: Diagram, label) -> bool:
-        lat = diag.entry.lat
-        p = lat.atom_index[label]
-        word_mask = 0
-        for q in diag.word:
-            word_mask |= 1 << q
-        if not word_mask >> p & 1:
-            raise NotContractible(f"{label!r} is not in the word")
-        for fmask, _ in diag.entry.flats_above_top():
-            outside = word_mask & ~fmask
-            if outside == 1 << p:
-                return True
-        return False
-
-    def _contract_machinery(self, entry: CatalogEntry, p: int):
-        key = (entry.certificate, p)
-        hit = self._contract_cache.get(key)
-        if hit is not None:
-            return hit
-        lat = entry.lat
-        af = entry.atom_flats
-        sub, to_parent, from_parent = interval(lat, af[p], lat.top)
-        atom_pos = [None] * lat.n_atoms
-        for x in range(lat.n_atoms):
-            if x == p:
-                continue
-            j = lat.join(af[p], af[x])
-            s = from_parent[j]
-            atom_pos[x] = next(_mask_atoms(sub.flat_masks[s]))
-        machinery = (sub, tuple(atom_pos))
-        self._contract_cache[key] = machinery
-        return machinery
-
     def contract(self, diag: Diagram, position: int):
         """Contract the word atom at the given (0-based) stored position."""
         word = diag.word
@@ -342,11 +306,10 @@ class DiagramAlgebra:
         p = word[position]
         if p < diag.entry.n_base:
             raise NotContractible("atom lies below the base image")
-        sub, atom_pos = self._contract_machinery(diag.entry, p)
-        n_base = diag.entry.n_base
-        atom_map = tuple(atom_pos[i] for i in range(n_base))
-        new_word = tuple(atom_pos[q] for q in word if q != p)
-        return self.normalize_raw(sub, atom_map, new_word)
+        lat = diag.entry.lat
+        sub, _, _, pos = interval_at(lat, diag.entry.atom_flats[p], lat.top)
+        return self.normalize_raw(sub, pos[:diag.entry.n_base],
+                                  tuple(pos[q] for q in word if q != p))
 
     def differential_diagram(self, diag: Diagram) -> DiagramVector:
         out = DiagramVector(self)
@@ -420,22 +383,21 @@ class DiagramAlgebra:
     # ------------------------------------------------------------------
     # cooperadic coproduct
 
-    def interval_data(self, flat: int):
-        return intervals_at(self.base, flat)
-
     def coproduct(self, diag: Diagram, flat: int) -> TensorVector:
         """Split along a proper base flat into lower/upper diagram pairs."""
         base = self.base
         if flat in (base.bottom, base.top):
             raise ImproperFlat("coproduct requires a proper flat")
-        (lowL, _, _), (upL, up_to, up_from) = self.interval_data(flat)
+        lowL, _, _, low_pos = interval_at(base, base.bottom, flat)
+        upL, _, _, up_pos = interval_at(base, flat, base.top)
         low_alg = algebra_for(lowL)
         up_alg = algebra_for(upL)
+        # one base atom for each atom of the two base intervals
+        low_reps = _first_atoms(low_pos, lowL.n_atoms)
+        up_reps = _first_atoms(up_pos, upL.n_atoms)
         lat = diag.entry.lat
-        nb = diag.entry.n_base
-        base_all = (1 << nb) - 1
+        base_all = (1 << diag.entry.n_base) - 1
         f_mask = base.flat_masks[flat]
-        af = diag.entry.atom_flats
         out = TensorVector()
         word = diag.word
         for f, m in enumerate(lat.flat_masks):
@@ -453,55 +415,24 @@ class DiagramAlgebra:
             eps = -1 if inversions % 2 else 1
 
             # lower factor: interval below f, base = interval below flat
-            sub_lo, _, from_lo = self._entry_interval(diag.entry, None, f)
-            lo_map = []
-            for a in lowL.atoms:
-                p = lat.atom_index[a]
-                lo_map.append(next(_mask_atoms(
-                    sub_lo.flat_masks[from_lo[af[p]]])))
-            lo_word = tuple(next(_mask_atoms(sub_lo.flat_masks[from_lo[af[p]]]))
-                            for p in inside)
-            s_lo, d_lo = low_alg.normalize_raw(sub_lo, tuple(lo_map), lo_word)
+            sub_lo, _, _, pos = interval_at(lat, lat.bottom, f)
+            s_lo, d_lo = low_alg.normalize_raw(
+                sub_lo, tuple(pos[a] for a in low_reps),
+                tuple(pos[p] for p in inside))
             if d_lo is ZERO:
                 continue
 
-            # upper factor: interval above f, base = interval above flat
-            sub_up, _, from_up = self._entry_interval(diag.entry, f, None)
-            up_map = []
-            ok = True
-            for c in range(upL.n_atoms):
-                parent_flat = up_to[upL.flat_index[1 << c]]
-                img = lat.flat_index.get(base.flat_masks[parent_flat] & base_all)
-                target = lat.join(f, lat.flat_index[base.flat_masks[parent_flat]])
-                s = from_up.get(target)
-                if s is None or sub_up.ranks[s] != 1:
-                    ok = False
-                    break
-                up_map.append(next(_mask_atoms(sub_up.flat_masks[s])))
-            if not ok:
-                continue
-            up_word = []
-            for p in outside:
-                s = from_up[lat.join(f, af[p])]
-                up_word.append(next(_mask_atoms(sub_up.flat_masks[s])))
-            s_up, d_up = up_alg.normalize_raw(sub_up, tuple(up_map),
-                                              tuple(up_word))
+            # upper factor: interval above f, base = interval above flat.
+            # f meets the base in flat, so a base atom outside flat lies
+            # outside f and f v a covers f.
+            sub_up, _, _, pos = interval_at(lat, f, lat.top)
+            s_up, d_up = up_alg.normalize_raw(
+                sub_up, tuple(pos[a] for a in up_reps),
+                tuple(pos[p] for p in outside))
             if d_up is ZERO:
                 continue
             out.add_term(eps * s_lo * s_up, d_lo, d_up)
         return out
-
-    def _entry_interval(self, entry: CatalogEntry, lo, hi):
-        """Cached interval sublattice of an entry's lattice."""
-        lat = entry.lat
-        lo = entry.lat.bottom if lo is None else lo
-        hi = entry.lat.top if hi is None else hi
-        key = (entry.certificate, lo, hi)
-        hitv = self._entry_intervals.get(key)
-        if hitv is None:
-            hitv = interval(lat, lo, hi)
-            self._entry_intervals[key] = hitv
-        return hitv
 
     # ------------------------------------------------------------------
     # relabeling and grading components
@@ -524,7 +455,7 @@ class DiagramAlgebra:
         """MD(L, F) -> MD([0,F], top): restrict the extension below the image
         of the grading flat."""
         flat = diag.grading
-        (lowL, _, _), _ = self.interval_data(flat)
+        lowL, _, _, low_pos = interval_at(self.base, self.base.bottom, flat)
         low_alg = algebra_for(lowL)
         lat = diag.entry.lat
         base_mask = self.base.flat_masks[flat]
@@ -534,19 +465,18 @@ class DiagramAlgebra:
         keep = [lat.atoms[i] for i in _mask_atoms(base_mask | word_mask)]
         sub, emb = restriction(lat, keep)
         back = {p: i for i, p in enumerate(emb.atom_map)}
-        atom_map = tuple(back[lat.atom_index[a]] for a in lowL.atoms)
+        atom_map = tuple(back[a] for a in _first_atoms(low_pos, lowL.n_atoms))
         word = tuple(back[p] for p in diag.word)
         return low_alg.normalize_raw(sub, atom_map, word)
 
     def grading_extend(self, flat: int, low_diag: Diagram):
         """MD([0,F], top) -> MD(L, F): push the extension out along the base."""
         base = self.base
-        (lowL, _, _), _ = self.interval_data(flat)
+        lowL, _, _, low_pos = interval_at(base, base.bottom, flat)
         lat = low_diag.entry.lat
-        nb_low = low_diag.entry.n_base
-        n_new = lat.n_atoms - nb_low
+        n_new = lat.n_atoms - low_diag.entry.n_base
         # the low base atoms sit at their base positions, the new atoms last
-        pos = [base.atom_index[a] for a in lowL.atoms]
+        pos = _first_atoms(low_pos, lowL.n_atoms)
         pos += [base.n_atoms + k for k in range(n_new)]
 
         labels = list(base.atoms) + [f"q{k+1}" for k in range(n_new)]
@@ -699,6 +629,16 @@ class DiagramAlgebra:
             cell_betti.update(((n, d), v) for d, v in per_degree.items())
         return CohomologyBlock(grading, bounds, dims, ranks, betti, healed,
                                matrices, grading_rank, cell_betti)
+
+
+def _first_atoms(pos, n):
+    """For each of the ``n`` atoms of an interval, the first atom that
+    ``pos`` (the positions of interval_at) sends to it."""
+    reps = [None] * n
+    for a in range(len(pos) - 1, -1, -1):
+        if pos[a] is not None:
+            reps[pos[a]] = a
+    return reps
 
 
 def determining_bounds(grading_rank: int, nullity: int, degree: int):

@@ -102,8 +102,8 @@ def single_element_extension(lat: GeometricLattice, cut: ModularCut, label: str)
             raise DegenerateCut(f"cut contains {lat.atoms_of(f)!r}")
     if label in lat.atom_index:
         raise DegenerateCut(f"label {label!r} already used")
-    masks, ranks = _extended_masks(lat, cut.members)
-    ext = GeometricLattice(lat.atoms + (label,), masks, ranks=ranks,
+    masks = _extended_masks(lat, cut.members)
+    ext = GeometricLattice(lat.atoms + (label,), masks.keys(), ranks=masks,
                            atom_supports=lat.atom_supports + (frozenset([label]),),
                            validate=False)
     emb = Embedding(lat, ext, tuple(range(lat.n_atoms)))
@@ -111,7 +111,8 @@ def single_element_extension(lat: GeometricLattice, cut: ModularCut, label: str)
 
 
 def _extended_masks(lat: GeometricLattice, members):
-    """Flat masks and ranks of the single-element extension (new atom last)."""
+    """The mask -> rank dict of the single-element extension (new atom
+    last)."""
     ebit = 1 << lat.n_atoms
     covers_up = lat.covers_up()
     masks = {}
@@ -123,7 +124,7 @@ def _extended_masks(lat: GeometricLattice, members):
             masks[m] = r
             if not any(c in members for c in covers_up[f]):
                 masks[m | ebit] = r + 1
-    return masks, masks
+    return masks
 
 
 # ----------------------------------------------------------------------
@@ -551,14 +552,6 @@ def _valid_cuts(entry: CatalogEntry):
                 stack.append(nxt)
 
 
-def _child_lattice(entry: CatalogEntry, members, label):
-    lat = entry.lat
-    masks, ranks = _extended_masks(lat, frozenset(members))
-    return GeometricLattice(lat.atoms + (label,), masks.keys(), ranks=masks,
-                            atom_supports=lat.atom_supports + (frozenset([label]),),
-                            validate=False)
-
-
 def catalog(base: GeometricLattice, max_new_atoms: int, max_extra_rank: int):
     """All modular extensions of the base within the bounds, canonical and
     deduplicated, ordered by (new-atom count, certificate).
@@ -587,8 +580,11 @@ def _next_level(base, entries, level, max_extra_rank):
         if entry.extra_rank < max_extra_rank:
             children = itertools.chain((frozenset(),), children)
         for members in children:
-            # the empty cut adds a coloop, which raises the rank by one
-            child = _child_lattice(entry, members, "@new")
+            # _valid_cuts yields modular cuts only, so the cut is built
+            # without modular_cut's check; the empty cut adds a coloop,
+            # which raises the rank by one
+            child, _ = single_element_extension(
+                entry.lat, ModularCut(entry.lat, members), "@new")
             cand, _ = _canonical_entry(child, base, level,
                                        entry.extra_rank + (not members))
             nxt.setdefault(cand.certificate, cand)

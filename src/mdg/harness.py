@@ -17,7 +17,7 @@ from .diagrams import (
     determining_bounds,
     stable_degrees,
 )
-from .lattice import GeometricLattice, restriction
+from .lattice import GeometricLattice, interval_at, restriction
 from .modularity import (
     is_supersolvable,
     modular_characterizations_agree,
@@ -283,8 +283,8 @@ def run_axiom_suite(lat: GeometricLattice, max_new_atoms=3, max_extra_rank=2,
     bad_chain = bad_coalg = bad_coop = 0
     checked = 0
     for f in proper:
-        (lowL, _, _), (upL, _, _) = alg.interval_data(f)
-        low_alg, up_alg = algebra_for(lowL), algebra_for(upL)
+        low_alg = algebra_for(interval_at(alg.base, alg.base.bottom, f)[0])
+        up_alg = algebra_for(interval_at(alg.base, f, alg.base.top)[0])
         for d in sample_diags:
             checked += 1
             cop = alg.coproduct(d, f)
@@ -329,8 +329,8 @@ def run_axiom_suite(lat: GeometricLattice, max_new_atoms=3, max_extra_rank=2,
     chains = [(f1, f2) for f1 in proper for f2 in proper
               if f1 != f2 and lat.leq(f1, f2)]
     for f1, f2 in chains:
-        (lowL2, low2_to, low2_from), _ = alg.interval_data(f2)
-        (lowL1, _, _), (upL1, up1_to, up1_from) = alg.interval_data(f1)
+        lowL2, _, low2_from, _ = interval_at(alg.base, alg.base.bottom, f2)
+        upL1, _, up1_from, _ = interval_at(alg.base, f1, alg.base.top)
         mid_alg_base = algebra_for(lowL2)
         up_alg1 = algebra_for(upL1)
         f1_in_low2 = low2_from[f1]
@@ -375,7 +375,9 @@ def run_axiom_suite(lat: GeometricLattice, max_new_atoms=3, max_extra_rank=2,
 
 def _triple_tensors_equal(lhs, rhs):
     """Compare triple tensors keyed by diagrams over structurally equal
-    interval lattices (keys compare by certificate/word/base hash)."""
+    interval lattices.  The two sides reach the intervals by different
+    routes, so their diagrams may belong to different algebras: keys
+    compare by certificate and word only."""
     def norm(d):
         return {tuple((x.entry.certificate, x.word) for x in k): v
                 for k, v in d.items()}
@@ -387,20 +389,16 @@ def _refactors(alg, diag) -> bool:
     irreducible extensions, by remultiplying the factors."""
     lat = diag.entry.lat
     nb = diag.entry.n_base
-    sub, to_parent, from_parent = alg._entry_interval(diag.entry,
-                                                      diag.entry.top, None)
+    sub, _, _, pos = interval_at(lat, diag.entry.top, lat.top)
     supports = sub.factor_supports()
     base_word = [p for p in diag.word if p < nb]
     new_word = [p for p in diag.word if p >= nb]
     if len(supports) <= 1 and not base_word:
         return True
-    af = diag.entry.atom_flats
     factor_of_new = {}
     for p in new_word:
-        cover = from_parent[lat.join(diag.entry.top, af[p])]
-        cover_mask = sub.flat_masks[cover]
         for k, s in enumerate(supports):
-            if cover_mask & s:
+            if s >> pos[p] & 1:
                 factor_of_new.setdefault(k, []).append(p)
                 break
     vec = None

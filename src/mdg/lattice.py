@@ -101,7 +101,7 @@ class GeometricLattice:
         self._factor_supports = None
         self._circuits = None
         self._modular_cache = {}
-        self._intervals = {}    # flat -> (interval below, interval above)
+        self._intervals = {}    # (lo, hi) -> interval_at(self, lo, hi)
         self._catalogs = {}     # extra-rank bound -> catalog levels (extensions)
         self._os = None         # Orlik-Solomon context (os_algebra)
 
@@ -261,9 +261,6 @@ class GeometricLattice:
         self._join_cache[key] = idx
         return idx
 
-    def join_atoms(self, mask: int) -> int:
-        return self.closure(mask)
-
     def meet(self, a: int, b: int) -> int:
         inter = self.flat_masks[a] & self.flat_masks[b]
         idx = self.flat_index.get(inter)
@@ -404,18 +401,6 @@ class Embedding:
 
     def flat_image(self, fidx: int) -> int:
         return self.target.closure(self.image_mask(fidx))
-
-    def flat_preimage(self, gidx: int) -> int:
-        """Preimage of a target flat lying inside the image interval."""
-        gm = self.target.flat_masks[gidx]
-        m = 0
-        for i, t in enumerate(self.atom_map):
-            if gm >> t & 1:
-                m |= 1 << i
-        idx = self.source.flat_index.get(m)
-        if idx is None:
-            raise ForeignFlat("target flat is not in the embedded image")
-        return idx
 
     def atom_image_mask(self) -> int:
         out = 0
@@ -665,13 +650,27 @@ def interval(lat: GeometricLattice, f1: int, f2: int):
     return sub, to_parent_list, from_parent
 
 
-def intervals_at(lat: GeometricLattice, flat: int):
-    """``(interval(lat, bottom, flat), interval(lat, flat, top))``, built
-    once per flat and kept on the lattice."""
-    hit = lat._intervals.get(flat)
+def interval_at(lat: GeometricLattice, lo: int, hi: int):
+    """``interval(lat, lo, hi)`` with the position of each atom's image,
+    built once per (lo, hi) and kept on the lattice.
+
+    Returns (sub, to_parent, from_parent, pos): ``pos[a]`` is the position
+    in ``sub`` of the interval atom lo v a for each atom a of ``lat``, or
+    None when lo v a is not an atom of the interval (a lies below lo, or
+    lo v a does not lie below hi).
+    """
+    hit = lat._intervals.get((lo, hi))
     if hit is None:
-        hit = (interval(lat, lat.bottom, flat), interval(lat, flat, lat.top))
-        lat._intervals[flat] = hit
+        sub, to_parent, from_parent = interval(lat, lo, hi)
+        # an atom outside lo lies in exactly one cover of lo, namely lo v a
+        lo_mask = lat.flat_masks[lo]
+        pos = [None] * lat.n_atoms
+        for i in range(sub.n_atoms):
+            cover = lat.flat_masks[to_parent[sub.flat_index[1 << i]]]
+            for a in _mask_atoms(cover & ~lo_mask):
+                pos[a] = i
+        hit = (sub, to_parent, from_parent, tuple(pos))
+        lat._intervals[lo, hi] = hit
     return hit
 
 

@@ -31,9 +31,6 @@ class RationalMatrix:
         else:
             self.entries.pop((r, c), None)
 
-    def add(self, r, c, value):
-        self.set(r, c, self.entries.get((r, c), Fraction(0)) + Fraction(value))
-
     @property
     def nnz(self):
         return len(self.entries)

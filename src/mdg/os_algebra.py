@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ImproperFlat, LatticeMismatch, SpecParse
-from .lattice import GeometricLattice, _mask_atoms, intervals_at
+from .lattice import GeometricLattice, _mask_atoms, interval_at
 
 
 class OSContext:
@@ -149,9 +149,6 @@ class OSElement:
     def is_zero(self):
         return not self.coeffs
 
-    def degrees(self):
-        return sorted({m.bit_count() for m, _ in self.coeffs})
-
     def __add__(self, other):
         if self.lattice is not other.lattice:
             raise LatticeMismatch("operands live over different lattices")
@@ -228,26 +225,6 @@ def os_graded_dims(lat: GeometricLattice):
     return out
 
 
-def os_isomorphism_invariant_dims(lat, orders):
-    """Hilbert series recomputed under alternative atom orders (self-check)."""
-    out = []
-    for order in orders:
-        relat = GeometricLattice(
-            order,
-            [_remap_mask(m, lat, order) for m in lat.flat_masks],
-            validate=False)
-        out.append(hilbert_series(relat))
-    return out
-
-
-def _remap_mask(mask, lat, order):
-    pos = {a: i for i, a in enumerate(order)}
-    out = 0
-    for i in _mask_atoms(mask):
-        out |= 1 << pos[lat.atoms[i]]
-    return out
-
-
 @dataclass(frozen=True)
 class HolonomyPresentation:
     """Generators indexed by atoms; one bracket relation per (rank-2 flat,
@@ -300,7 +277,8 @@ def os_coproduct(elem: OSElement, flat: int):
     lat = elem.lattice
     if flat in (lat.bottom, lat.top):
         raise ImproperFlat("coproduct needs a proper flat")
-    (lower, _, _), (upper, _, up_from_parent) = intervals_at(lat, flat)
+    lower, _, _, low_pos = interval_at(lat, lat.bottom, flat)
+    upper, _, _, up_pos = interval_at(lat, flat, lat.top)
     fmask = lat.flat_masks[flat]
     low_ctx = os_context(lower)
     up_ctx = os_context(upper)
@@ -311,14 +289,12 @@ def os_coproduct(elem: OSElement, flat: int):
         unshuffle = 1
         for i in _mask_atoms(m):
             if fmask >> i & 1:
-                low_positions.append(lower.atom_index[lat.atoms[i]])
+                low_positions.append(low_pos[i])
                 if len(up_positions) % 2:
                     unshuffle = -unshuffle
             else:
-                j = lat.join(flat, lat.atom_flat(lat.atoms[i]))
-                ia = up_from_parent.get(j)
-                assert ia is not None and upper.ranks[ia] == 1
-                up_positions.append(next(_mask_atoms(upper.flat_masks[ia])))
+                assert up_pos[i] is not None
+                up_positions.append(up_pos[i])
         lsorted, lsign = _word_sign(low_positions)
         usorted, usign = _word_sign(up_positions)
         if lsign == 0 or usign == 0:

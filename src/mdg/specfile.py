@@ -49,11 +49,3 @@ def load_lattice(path, *, name=None) -> GeometricLattice:
     except (OSError, json.JSONDecodeError) as ex:
         raise SpecParse(f"cannot read lattice spec {path}: {ex}") from ex
     return parse_lattice_spec(data, name=name or str(path))
-
-
-def lattice_spec_dict(lat: GeometricLattice) -> dict:
-    return {
-        "kind": "flats",
-        "atoms": list(lat.atoms),
-        "flats": [sorted(lat.atoms_of(f)) for f in range(lat.n_flats)],
-    }

@@ -19,6 +19,7 @@ from mdg.lattice import (
     build_boolean,
     build_from_graph,
     direct_product,
+    interval_at,
     restriction,
 )
 
@@ -245,9 +246,10 @@ def test_coproduct_compatible_with_relabeling(pi3, pi4):
             f_img = pi3.flat_of_atoms([perm[label]])
             s, moved = alg.relabel(iso, diag)
             lhs = alg.coproduct(moved, f)
-            (lowL, _, _), (upL, up_to, up_from) = alg.interval_data(f)
-            low_alg, up_alg = algebra_for(lowL), algebra_for(upL)
-            (lowI, _, _), (upI, _, up_fromI) = alg.interval_data(f_img)
+            lowL = interval_at(pi3, pi3.bottom, f)[0]
+            upL, up_to, _, _ = interval_at(pi3, f, pi3.top)
+            lowI = interval_at(pi3, pi3.bottom, f_img)[0]
+            upI, _, up_fromI, _ = interval_at(pi3, f_img, pi3.top)
             lo_iso = Embedding(
                 lowL, lowI,
                 tuple(lowI.atom_index[perm[a]] for a in lowL.atoms))
@@ -285,7 +287,6 @@ def test_grading_component_iso_roundtrip(pi4):
         for diag in diags[:6]:
             s, low = alg.grading_restrict(diag)
             assert low is not ZERO
-            (lowL, _, _), _ = alg.interval_data(diag.grading)
             s2, back = alg.grading_extend(diag.grading, low)
             assert back == diag and s * s2 == 1
             checked += 1

@@ -18,6 +18,7 @@ from mdg.errors import (
     NotGeometric,
     SelfLoop,
 )
+from mdg.extensions import catalog
 from mdg.lattice import (
     build_boolean,
     build_from_flats,
@@ -26,6 +27,7 @@ from mdg.lattice import (
     circuits,
     direct_product,
     interval,
+    interval_at,
     irreducible_factors,
     join,
     meet,
@@ -169,6 +171,34 @@ def test_restriction_examples(plane8, plane7, pi4, pi3):
     assert certificates_equal(tri, pi3)
     # embedding is join-compatible
     emb.validate()
+
+
+@pytest.mark.parametrize("name", ["pi4", "plane8", "b3", "pi3-entry"])
+def test_interval_at_positions_match_brute_force(name, request):
+    # pos[a] is the bit of the interval flat lo v a when that flat is an
+    # interval atom, else None; the result is built once per (lo, hi)
+    if name == "pi3-entry":
+        # the catalog entry with the most new atoms
+        lat = catalog(request.getfixturevalue("pi3"), 3, 2)[-1].lat
+        assert lat.n_atoms > 3
+    else:
+        lat = request.getfixturevalue(name)
+    for lo, hi in itertools.product(range(lat.n_flats), repeat=2):
+        if not lat.leq(lo, hi):
+            continue
+        got = interval_at(lat, lo, hi)
+        sub, to_parent, from_parent, pos = got
+        ref, ref_to, ref_from = interval(lat, lo, hi)
+        assert (sub.atoms, sub.flat_masks, sub.ranks) == \
+            (ref.atoms, ref.flat_masks, ref.ranks)
+        assert (to_parent, from_parent) == (ref_to, ref_from)
+        want = []
+        for a in range(lat.n_atoms):
+            s = from_parent.get(lat.closure(lat.flat_masks[lo] | 1 << a))
+            ok = s is not None and sub.ranks[s] == 1
+            want.append(sub.flat_masks[s].bit_length() - 1 if ok else None)
+        assert pos == tuple(want)
+        assert interval_at(lat, lo, hi) is got
 
 
 def test_restriction_interval_agree(plane8):

@@ -6,7 +6,7 @@ import weakref
 import pytest
 from mdg.errors import LatticeMismatch
 from mdg.lattice import GeometricLattice, build_from_flats, \
-    build_partition_lattice
+    build_partition_lattice, interval_at
 from mdg.os_algebra import (
     OSElement,
     hilbert_series,
@@ -215,10 +215,12 @@ def test_os_coproduct_generators(pi3):
 
 
 def test_os_context_does_not_keep_its_lattice_alive():
-    # the context lives on the lattice, so a dropped lattice is collected
+    # the context and the cached intervals live on the lattice, so a
+    # dropped lattice is collected
     lat = build_partition_lattice(4)
     elem = reduce_to_nbc(lat, ["1-2", "1-3", "3-4"])
     os_coproduct(elem, lat.flat_of_atoms(["1-2", "1-3", "2-3"]))
+    interval_at(lat, lat.flat_of_atoms(["1-2"]), lat.top)
     ref = weakref.ref(lat)
     del lat, elem
     gc.collect()
