@@ -12,7 +12,7 @@ from mdg.diagrams import (
     determining_bounds,
 )
 from mdg.errors import ImproperFlat, MismatchedBase, NotGeometric
-from mdg.extensions import ModularExtension, identity_extension
+from mdg.extensions import ModularExtension, catalog, identity_extension
 from mdg.lattice import (
     Embedding,
     GeometricLattice,
@@ -401,6 +401,40 @@ def test_differential_preserves_nullity(pi3):
                 assert d2.nullity == diag.nullity
                 checked += 1
     assert checked
+
+
+NORMALIZER_ORACLE = [("pi3", (3, 2)), ("pi4", (3, 2)), ("b3", (3, 2)),
+                     ("b2", (4, 2))]
+
+
+@pytest.mark.parametrize("name,bounds", NORMALIZER_ORACLE,
+                         ids=[n for n, _ in NORMALIZER_ORACLE])
+def test_normalize_raw_agrees_with_diagrams_within(name, bounds, request):
+    # every word over every catalog entry, base pinned, normalizes into the
+    # bounded basis, and every basis diagram is reached this way: the
+    # restrict -> canonicalize path and the enumerator apply the same rules
+    base = request.getfixturevalue(name)
+    alg = algebra_for(base)
+    nb = base.n_atoms
+    reached = set()
+    for entry in catalog(base, *bounds):
+        lat = entry.lat
+        for mask in range(1 << lat.n_atoms):
+            word = tuple(i for i in range(lat.n_atoms) if mask >> i & 1)
+            sign, diag = alg.normalize_raw(lat, tuple(range(nb)), word)
+            if diag is ZERO:
+                continue
+            reached.add((diag, diag.grading, diag.degree, diag.nullity))
+            if all(mask >> i & 1 for i in range(nb, lat.n_atoms)):
+                # a full-support word is already in normal form
+                assert sign == 1, (entry.certificate, word)
+                assert diag.key == (entry.certificate, word)
+    listed = [(d, g, k, d.nullity)
+              for (g, k), ds in alg.diagrams_within(bounds).items()
+              for d in ds]
+    assert all(d.grading == g and d.degree == k for d, g, k, _ in listed)
+    assert len(listed) == len(set(listed))
+    assert set(listed) == reached
 
 
 def test_exact_cell_rule_pi4(pi4):
