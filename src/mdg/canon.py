@@ -40,13 +40,6 @@ class CanonicalForm:
     perm: tuple
     automorphisms: tuple
 
-    def relabeled_masks(self, lat: GeometricLattice):
-        return _apply_perm(lat.flat_masks, self.perm)
-
-
-def _apply_perm(masks, perm):
-    return tuple(sorted(_move_masks(masks, perm)))
-
 
 def _incidence(lat: GeometricLattice):
     """(rank, atoms) of every flat and the flats of every atom, in index
@@ -207,7 +200,7 @@ class _Search:
 
 
 def _certificate_bytes(lat, perm):
-    masks = _apply_perm(lat.flat_masks, perm)
+    masks = sorted(_move_masks(lat.flat_masks, perm))
     head = (lat.n_atoms, lat.rank)
     body = ",".join(format(m, "x") for m in masks)
     return repr(head).encode() + b"|" + body.encode()

@@ -25,7 +25,7 @@ from .modularity import (
     modular_flats,
 )
 from .os_algebra import hilbert_series, koszul_series_check, reduce_to_nbc
-from .specfile import load_lattice
+from .specfile import graph_edges, load_lattice, read_spec
 
 
 def _load(arg: str) -> GeometricLattice:
@@ -38,17 +38,12 @@ def _load(arg: str) -> GeometricLattice:
 
 def _load_graph_edges(arg: str):
     if arg in corpus.corpus_names():
-        edges = None
         from .harness import _corpus_graph_edges
         edges = _corpus_graph_edges(arg)
         if edges is None:
             raise SpecParse(f"corpus lattice {arg!r} is not graphical")
         return edges
-    with open(arg, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if data.get("kind") != "graph":
-        raise SpecParse("chordality needs a lattice spec of kind 'graph'")
-    return [tuple(e) for e in data["edges"]]
+    return graph_edges(read_spec(arg))
 
 
 def _emit(args, payload, human_lines):
@@ -68,13 +63,21 @@ def _flat_from_arg(lat, text):
     return lat.flat_of_atoms(labels)
 
 
+def _count(text):
+    """A non-negative integer option value."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _add_common(p, bounds=True):
     p.add_argument("--lattice", required=True,
                    help="corpus name (pi3, b2, c4, plane8, ...) or spec file")
     p.add_argument("--json", action="store_true")
     if bounds:
-        p.add_argument("--max-atoms", type=int, default=3)
-        p.add_argument("--max-rank", type=int, default=2)
+        p.add_argument("--max-atoms", type=_count, default=3)
+        p.add_argument("--max-rank", type=_count, default=2)
 
 
 def build_parser():
@@ -105,7 +108,7 @@ def build_parser():
     pr.add_argument("word", nargs="+", help="atom labels, in order")
     pk = oss.add_parser("koszul-series")
     _add_common(pk, bounds=False)
-    pk.add_argument("--order", type=int, default=8)
+    pk.add_argument("--order", type=_count, default=8)
 
     p = sub.add_parser("md", help="modular diagram computations")
     mds = p.add_subparsers(dest="md_command", required=True)
@@ -162,9 +165,6 @@ def main(argv=None):
     except ResourceLimit as ex:
         print(f"resource limit: {ex}", file=sys.stderr)
         return 3
-    except SpecParse as ex:
-        print(f"input error: {ex}", file=sys.stderr)
-        return 2
     except MDGError as ex:
         print(f"input error: {ex}", file=sys.stderr)
         return 2

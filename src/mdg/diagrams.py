@@ -27,6 +27,7 @@ from .errors import (
 from .extensions import CatalogEntry, ModularExtension, _canonical_entry, catalog
 from .lattice import (Embedding, GeometricLattice, _mask_atoms, interval_at,
                       parallel_connection, restriction, same_lattice)
+from .modularity import is_modular
 from .os_algebra import OSElement, reduce_to_nbc, _word_sign
 
 
@@ -202,67 +203,41 @@ class DiagramAlgebra:
         or (0, ZERO)."""
         if len(set(word_positions)) != len(word_positions):
             return 0, ZERO
-        base_img = 0
-        for p in atom_map:
-            base_img |= 1 << p
-        word_mask = 0
-        for p in word_positions:
-            word_mask |= 1 << p
-        span = lat.closure(base_img | word_mask)
-        if lat.ranks[span] < lat.rank:
-            return 0, ZERO  # word and base do not span the top
+        base_img = _atoms_mask(atom_map)
+        word_mask = _atoms_mask(word_positions)
         needed = base_img | word_mask
+        if lat.ranks[lat.closure(needed)] < lat.rank:
+            return 0, ZERO  # word and base do not span the top
         if needed != (1 << lat.n_atoms) - 1:
             keep = [lat.atoms[i] for i in _mask_atoms(needed)]
-            sub, emb = restriction(lat, keep)
+            lat, emb = restriction(lat, keep)
             back = {p: i for i, p in enumerate(emb.atom_map)}
-            lat = sub
             atom_map = tuple(back[p] for p in atom_map)
             word_positions = tuple(back[p] for p in word_positions)
-            base_img = 0
-            for p in atom_map:
-                base_img |= 1 << p
-            word_mask = 0
-            for p in word_positions:
-                word_mask |= 1 << p
-        # cheap vanishing scans before the canonical search
-        if any(s & base_img == 0 for s in lat.factor_supports()):
-            return 0, ZERO  # a factor misses the base image
-        from .modularity import is_modular
-        f_top = lat.closure(base_img)
-        top_mask = lat.flat_masks[f_top]
-        for f, m in enumerate(lat.flat_masks):
-            if m & top_mask != top_mask:
-                continue
-            n_out = (word_mask & ~m).bit_count()
-            if n_out == 1:
-                return 0, ZERO  # lone word atom above a flat over the base
-            if n_out == 2 and is_modular(lat, f):
-                return 0, ZERO  # two word atoms outside a modular flat
-        fixed_labels = [lat.atoms[p] for p in atom_map]
-        entry, perm = self._entry_for(lat, fixed_labels)
+            base_img = _atoms_mask(atom_map)
+            word_mask = _atoms_mask(word_positions)
+        # the lattice rules come before the canonical search, which is dearer
+        top_mask = lat.flat_masks[lat.closure(base_img)]
+        above = (f for f, m in enumerate(lat.flat_masks)
+                 if m & top_mask == top_mask)
+        if _vanishes(lat, base_img, word_mask, above):
+            return 0, ZERO
+        entry, perm = self._entry_for(lat, [lat.atoms[p] for p in atom_map])
         if entry.has_odd_aut:
             return 0, ZERO
-        word_canon = tuple(perm[p] for p in word_positions)
-        return self._finish(entry, word_canon)
+        sorted_word, sign = _word_sign(tuple(perm[p] for p in word_positions))
+        return sign, self._diagram(entry, sorted_word)
 
-    def _finish(self, entry: CatalogEntry, word_canon):
-        """Word sorting and degree/grading for a surviving canonical word."""
-        word_mask = 0
-        for p in word_canon:
-            word_mask |= 1 << p
-        sorted_word, sign = _word_sign(word_canon)
-        assert sign != 0
+    def _diagram(self, entry: CatalogEntry, sorted_word):
+        """The diagram of a surviving sorted word over a canonical entry."""
         lat = entry.lat
-        vj = lat.closure(word_mask)
-        top_mask = lat.flat_masks[entry.top]
-        meet_mask = lat.flat_masks[vj] & top_mask
-        grading = self.base.flat_index[meet_mask & ((1 << entry.n_base) - 1)]
+        vj = lat.closure(_atoms_mask(sorted_word))
+        meet_mask = lat.flat_masks[vj] & lat.flat_masks[entry.top]
         degree = len(sorted_word) - 2 * (lat.ranks[vj]
                                          - lat.ranks[lat.flat_index[meet_mask]])
-        diagram = Diagram(self, entry, sorted_word, degree,
-                          grading, len(sorted_word) - lat.ranks[vj])
-        return sign, diagram
+        return Diagram(self, entry, sorted_word, degree,
+                       self.base.flat_index[meet_mask],
+                       len(sorted_word) - lat.ranks[vj])
 
     def normalize(self, ext: ModularExtension, word_labels):
         """Public entry point: validate the extension, then normalize."""
@@ -459,10 +434,8 @@ class DiagramAlgebra:
         low_alg = algebra_for(lowL)
         lat = diag.entry.lat
         base_mask = self.base.flat_masks[flat]
-        word_mask = 0
-        for p in diag.word:
-            word_mask |= 1 << p
-        keep = [lat.atoms[i] for i in _mask_atoms(base_mask | word_mask)]
+        keep = [lat.atoms[i]
+                for i in _mask_atoms(base_mask | _atoms_mask(diag.word))]
         sub, emb = restriction(lat, keep)
         back = {p: i for i, p in enumerate(emb.atom_map)}
         atom_map = tuple(back[a] for a in _first_atoms(low_pos, lowL.n_atoms))
@@ -505,42 +478,21 @@ class DiagramAlgebra:
         blocks = {}
         for raw_entry in catalog(self.base, *bounds):
             entry = self._register_entry(raw_entry)
-            n_new = entry.lat.n_atoms - entry.n_base
-            if entry.has_odd_aut or entry.rel4_dead():
-                continue
-            if n_new in (1, 2):
-                # a full-support word leaves 1 or 2 atoms outside the base
-                # top, which always vanishes against it
+            if entry.has_odd_aut:
                 continue
             lat = entry.lat
-            nb = entry.n_base
-            new_mask = entry.new_mask
-            above = entry.flats_above_top()
+            base_mask = entry.base_mask
+            new_mask = ((1 << lat.n_atoms) - 1) ^ base_mask
             top_mask = lat.flat_masks[entry.top]
-            for smask in range(1 << nb):
+            above = [f for f, m in enumerate(lat.flat_masks)
+                     if m & top_mask == top_mask]
+            for smask in range(1 << entry.n_base):
                 word_mask = new_mask | smask
-                span = lat.closure(word_mask | top_mask)
-                if lat.ranks[span] < lat.rank:
+                if _vanishes(lat, base_mask, word_mask, above):
                     continue
-                dead = False
-                for fmask, fmod in above:
-                    outside = word_mask & ~fmask
-                    n_out = outside.bit_count()
-                    if n_out == 1 or (n_out == 2 and fmod):
-                        dead = True
-                        break
-                if dead:
-                    continue
-                vj = lat.closure(word_mask)
-                meet_mask = lat.flat_masks[vj] & top_mask
-                grading = self.base.flat_index[meet_mask]
-                degree = (word_mask.bit_count()
-                          - 2 * (lat.ranks[vj]
-                                 - lat.ranks[lat.flat_index[meet_mask]]))
-                word = tuple(_mask_atoms(word_mask))
-                diag = Diagram(self, entry, word, degree,
-                               grading, len(word) - lat.ranks[vj])
-                blocks.setdefault((grading, degree), []).append(diag)
+                diag = self._diagram(entry, tuple(_mask_atoms(word_mask)))
+                blocks.setdefault((diag.grading, diag.degree),
+                                  []).append(diag)
         for k in blocks:
             blocks[k].sort(key=lambda d: d.key)
         self._diagram_blocks[bounds] = blocks
@@ -631,6 +583,32 @@ class DiagramAlgebra:
                                matrices, grading_rank, cell_betti)
 
 
+def _atoms_mask(positions):
+    mask = 0
+    for p in positions:
+        mask |= 1 << p
+    return mask
+
+
+def _vanishes(lat, base_mask, word_mask, above):
+    """Whether a lattice rule kills the word over the base image.
+
+    ``lat`` is spanned by the base image and the word, and ``above`` holds
+    the flats above the closure of the base image.  The word vanishes when
+    a factor of ``lat`` misses the base image, when a flat above it has
+    exactly one word atom outside, or when a modular flat above it has
+    exactly two.
+    """
+    if any(s & base_mask == 0 for s in lat.factor_supports()):
+        return True
+    masks = lat.flat_masks
+    for f in above:
+        n_out = (word_mask & ~masks[f]).bit_count()
+        if n_out == 1 or (n_out == 2 and is_modular(lat, f)):
+            return True
+    return False
+
+
 def _first_atoms(pos, n):
     """For each of the ``n`` atoms of an interval, the first atom that
     ``pos`` (the positions of interval_at) sends to it."""
@@ -670,9 +648,6 @@ class CohomologyBlock:
     matrices: dict
     grading_rank: int
     cell_betti: dict     # (nullity, degree) -> Betti number
-
-    def nonzero_betti(self):
-        return {k: v for k, v in self.betti.items() if v}
 
     def is_exact(self, nullity: int, degree: int) -> bool:
         """Whether the cell's Betti number is the untruncated value."""

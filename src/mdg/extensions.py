@@ -313,8 +313,7 @@ class CatalogEntry:
     """
 
     __slots__ = ("lat", "n_base", "level", "extra_rank", "certificate",
-                 "top", "automorphisms", "has_odd_aut", "atom_flats",
-                 "_above_top", "_rel4_dead", "_new_mask")
+                 "top", "automorphisms", "has_odd_aut", "atom_flats")
 
     def __init__(self, lat, n_base, level, extra_rank, certificate, top,
                  automorphisms):
@@ -333,37 +332,10 @@ class CatalogEntry:
         self.has_odd_aut = -1 in parities
         self.atom_flats = tuple(lat.flat_index[1 << i]
                                 for i in range(lat.n_atoms))
-        self._above_top = None
-        self._rel4_dead = None
-        self._new_mask = ((1 << lat.n_atoms) - 1) ^ ((1 << n_base) - 1)
-
-    @property
-    def new_mask(self):
-        return self._new_mask
 
     @property
     def base_mask(self):
         return (1 << self.n_base) - 1
-
-    def flats_above_top(self):
-        """(atom_mask, is_modular) for every flat above the base image."""
-        if self._above_top is None:
-            lat = self.lat
-            tm = lat.flat_masks[self.top]
-            out = []
-            for f, m in enumerate(lat.flat_masks):
-                if m & tm == tm:
-                    out.append((m, is_modular(lat, f)))
-            self._above_top = tuple(out)
-        return self._above_top
-
-    def rel4_dead(self):
-        """True when the lattice splits with a factor missing the base."""
-        if self._rel4_dead is None:
-            base_mask = self.base_mask
-            self._rel4_dead = any(s & base_mask == 0
-                                  for s in self.lat.factor_supports())
-        return self._rel4_dead
 
     def as_modular_extension(self, base):
         emb = Embedding(base, self.lat, tuple(range(self.n_base)))

@@ -63,7 +63,6 @@ class GeometricLattice:
         "bottom",
         "top",
         "_join_cache",
-        "_covers_down",
         "_covers_up",
         "_upsets",
         "_factor_supports",
@@ -95,7 +94,6 @@ class GeometricLattice:
         self.flat_masks = tuple(masks)
         self.flat_index = {m: i for i, m in enumerate(masks)}
         self._join_cache = {}
-        self._covers_down = None
         self._covers_up = None
         self._upsets = None
         self._factor_supports = None
@@ -219,9 +217,6 @@ class GeometricLattice:
     def atoms_of(self, f: int):
         return self._labels(self.flat_masks[f])
 
-    def atom_flat(self, label: str) -> int:
-        return self.flat_index[1 << self.atom_index[label]]
-
     def support_of(self, f: int) -> frozenset:
         """Underlying root-atom support of a flat (used by interval lattices)."""
         out = set()
@@ -274,30 +269,18 @@ class GeometricLattice:
     def leq(self, a: int, b: int) -> bool:
         return self.flat_masks[a] | self.flat_masks[b] == self.flat_masks[b]
 
-    def covers_down(self):
-        if self._covers_down is None:
-            self._build_covers()
-        return self._covers_down
-
     def covers_up(self):
         if self._covers_up is None:
-            self._build_covers()
+            up = [[] for _ in self.flat_masks]
+            for i, mi in enumerate(self.flat_masks):
+                ri = self.ranks[i]
+                if ri == 0:
+                    continue
+                for j in self.by_rank[ri - 1]:
+                    if self.flat_masks[j] & mi == self.flat_masks[j]:
+                        up[j].append(i)
+            self._covers_up = tuple(tuple(x) for x in up)
         return self._covers_up
-
-    def _build_covers(self):
-        n_f = len(self.flat_masks)
-        down = [[] for _ in range(n_f)]
-        up = [[] for _ in range(n_f)]
-        for i in range(n_f):
-            mi, ri = self.flat_masks[i], self.ranks[i]
-            if ri == 0:
-                continue
-            for j in self.by_rank[ri - 1]:
-                if self.flat_masks[j] & mi == self.flat_masks[j]:
-                    down[i].append(j)
-                    up[j].append(i)
-        self._covers_down = tuple(tuple(x) for x in down)
-        self._covers_up = tuple(tuple(x) for x in up)
 
     def upsets(self):
         """Per flat, the bitmask over flat indices of all flats above it."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ImproperFlat, LatticeMismatch, SpecParse
+from .errors import ForeignFlat, ImproperFlat, LatticeMismatch, SpecParse
 from .lattice import GeometricLattice, _mask_atoms, interval_at
 
 
@@ -173,7 +173,10 @@ class OSElement:
 
 def reduce_to_nbc(lat: GeometricLattice, word) -> OSElement:
     """Class of the product of generators listed by atom label, in order."""
-    positions = [lat.atom_index[w] for w in word]
+    try:
+        positions = [lat.atom_index[w] for w in word]
+    except KeyError as ex:
+        raise ForeignFlat(f"unknown atom {ex.args[0]!r}") from None
     sorted_pos, sign = _word_sign(positions)
     if sign == 0:
         return OSElement.zero(lat)

@@ -29,23 +29,47 @@ def parse_lattice_spec(data, *, name=None) -> GeometricLattice:
         if kind == "flats":
             return build_from_flats(data["atoms"], data["flats"], name=name)
         if kind == "graph":
-            edges = [tuple(e) for e in data["edges"]]
-            return build_from_graph(edges, name=name)
+            return build_from_graph(graph_edges(data), name=name)
         if kind == "partition":
-            return build_partition_lattice(int(data["n"]), name=name)
+            return build_partition_lattice(_size(data), name=name)
         if kind == "boolean":
             if "atoms" in data:
                 return build_boolean(atoms=tuple(data["atoms"]), name=name)
-            return build_boolean(int(data["n"]), name=name)
+            return build_boolean(_size(data), name=name)
     except KeyError as ex:
         raise SpecParse(f"missing field {ex} in lattice spec") from ex
+    except TypeError as ex:
+        raise SpecParse(f"malformed lattice spec: {ex}") from ex
     raise SpecParse(f"unknown lattice kind {kind!r}")
 
 
-def load_lattice(path, *, name=None) -> GeometricLattice:
+def _size(data):
+    n = data["n"]
+    if type(n) is not int or n < 0:
+        raise SpecParse(f"'n' must be a non-negative integer, got {n!r}")
+    return n
+
+
+def graph_edges(data):
+    """The edges of a spec of kind 'graph', each a pair of vertex labels."""
+    if not isinstance(data, dict) or data.get("kind") != "graph":
+        raise SpecParse("expected a lattice spec of kind 'graph'")
+    edges = data.get("edges")
+    if not isinstance(edges, (list, tuple)) or not all(
+            isinstance(e, (list, tuple)) and len(e) == 2
+            and all(isinstance(v, (str, int)) for v in e) for e in edges):
+        raise SpecParse("'edges' must be a list of [u, v] vertex pairs")
+    return [tuple(e) for e in edges]
+
+
+def read_spec(path):
+    """The parsed JSON of a spec file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as ex:
+            return json.load(fh)
+    except (OSError, ValueError) as ex:  # ValueError: bad JSON or UTF-8
         raise SpecParse(f"cannot read lattice spec {path}: {ex}") from ex
-    return parse_lattice_spec(data, name=name or str(path))
+
+
+def load_lattice(path, *, name=None) -> GeometricLattice:
+    return parse_lattice_spec(read_spec(path), name=name or str(path))

@@ -229,6 +229,41 @@ def test_cli_input_errors(tmp_path):
         {"kind": "flats", "atoms": ["a"], "flats": [[], ["a"]]}))
     code, _ = run_cli("chordal", "--lattice", str(flat_spec))
     assert code == 2
+    # malformed specs; the last is a graph, for chordality as well
+    malformed = [{"kind": "partition", "n": "x"},
+                 {"kind": "partition", "n": 2.5},
+                 {"kind": "boolean", "n": -1},
+                 {"kind": "flats", "atoms": ["a"], "flats": 5},
+                 {"kind": "graph", "edges": [["1", "2"], ["3"]]}]
+    for i, spec in enumerate(malformed):
+        path = tmp_path / f"malformed{i}.json"
+        path.write_text(json.dumps(spec))
+        code, _ = run_cli("validate", "--lattice", str(path))
+        assert code == 2, spec
+    code, _ = run_cli("chordal", "--lattice", str(path))
+    assert code == 2
+    code, _ = run_cli("chordal", "--lattice", str(tmp_path / "missing.json"))
+    assert code == 2
+    code, _ = run_cli("chordal", "--lattice", str(bad))
+    assert code == 2
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{")
+    code, _ = run_cli("validate", "--lattice", str(binary))
+    assert code == 2
+    code, _ = run_cli("os", "reduce", "--lattice", "pi3", "zz")
+    assert code == 2
+    # negative or non-numeric counts are usage errors, which argparse
+    # reports by exiting with 2
+    for argv in (["verify-qiso", "--lattice", "pi3", "--max-atoms", "-1"],
+                 ["md", "basis", "--lattice", "pi3", "--degree", "1",
+                  "--max-rank", "-1"],
+                 ["extensions", "enumerate", "--lattice", "pi3",
+                  "--max-atoms", "x"],
+                 ["os", "koszul-series", "--lattice", "pi3", "--order",
+                  "-1"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2, argv
 
 
 def test_cli_entrypoint_subprocess():
