@@ -7,9 +7,14 @@ canonically with the base atoms pinned, and the word is sorted with a
 sign.  The vanishing rules applied during normalization are: repeated
 letters; the word and base not spanning the top; the extension splitting
 off a factor missing the base; a modular flat above the base image with
-exactly two word atoms outside it; a flat above the base image with
-exactly one word atom outside it; an automorphism of the extension fixing
-the base and acting oddly on the new atoms.
+exactly two word atoms outside it; an automorphism of the extension fixing
+the base and acting oddly on the new atoms.  A flat above the base image
+with exactly one word atom outside it needs no rule of its own: the
+lattice is spanned by the base image and the word, so that atom is a
+coloop, a factor missing the base.
+
+The differential, products and coproducts of canonical diagrams are
+computed once and kept on their algebra.
 """
 
 from __future__ import annotations
@@ -176,6 +181,10 @@ class DiagramAlgebra:
         self._raw_canon = {}        # raw structural key -> certificate
         self._pushout_cache = {}    # (cert1, cert2) -> pushout machinery
         self._diagram_blocks = {}   # bounds -> {(grading, degree): [Diagram]}
+        # structure maps of canonical diagrams, as ((term, coeff), ...)
+        self._differentials = {}    # Diagram -> terms
+        self._products = {}         # (Diagram, Diagram) -> terms
+        self._coproducts = {}       # (Diagram, flat) -> terms
 
     # ------------------------------------------------------------------
     # normalization
@@ -220,7 +229,8 @@ class DiagramAlgebra:
         top_mask = lat.flat_masks[lat.closure(base_img)]
         above = (f for f, m in enumerate(lat.flat_masks)
                  if m & top_mask == top_mask)
-        if _vanishes(lat, base_img, word_mask, above):
+        if (_splits_off_base(lat, base_img)
+                or _modular_flat_kills(lat, word_mask, above)):
             return 0, ZERO
         entry, perm = self._entry_for(lat, [lat.atoms[p] for p in atom_map])
         if entry.has_odd_aut:
@@ -267,9 +277,10 @@ class DiagramAlgebra:
     def contractible_positions(self, diag: Diagram):
         """Positions in the stored word whose atoms are contractible.
 
-        In a normalized nonzero diagram no word atom is a lone atom above
-        any flat over the base image, so contractible means exactly: not
-        below the base image.
+        In a normalized nonzero diagram no word atom is the lone word atom
+        outside a flat over the base image (it would be a coloop, a factor
+        missing the base), so contractible means exactly: not below the
+        base image.
         """
         return [k for k, p in enumerate(diag.word) if p >= diag.entry.n_base]
 
@@ -286,12 +297,20 @@ class DiagramAlgebra:
         return self.normalize_raw(sub, pos[:diag.entry.n_base],
                                   tuple(pos[q] for q in word if q != p))
 
+    def _own(self, diag: Diagram):
+        if diag.algebra is not self:
+            raise MismatchedBase("diagram is over a different base")
+
     def differential_diagram(self, diag: Diagram) -> DiagramVector:
-        out = DiagramVector(self)
-        for k in self.contractible_positions(diag):
-            sign, res = self.contract(diag, k)
-            out.add_term(sign * (-1) ** k, res)
-        return out
+        self._own(diag)
+        terms = self._differentials.get(diag)
+        if terms is None:
+            out = DiagramVector(self)
+            for k in self.contractible_positions(diag):
+                sign, res = self.contract(diag, k)
+                out.add_term(sign * (-1) ** k, res)
+            terms = self._differentials[diag] = tuple(out.coeffs.items())
+        return DiagramVector(self, terms)
 
     def differential(self, vec: DiagramVector) -> DiagramVector:
         out = DiagramVector(self)
@@ -325,11 +344,17 @@ class DiagramAlgebra:
         return machinery
 
     def product(self, d1: Diagram, d2: Diagram) -> DiagramVector:
-        lat, pos2 = self._pushout_machinery(d1.entry, d2.entry)
-        word = d1.word + tuple(pos2[p] for p in d2.word)
-        sign, res = self.normalize_raw(lat, tuple(range(self.base.n_atoms)),
-                                       word)
-        return DiagramVector(self).add_term(sign, res)
+        self._own(d1)
+        self._own(d2)
+        terms = self._products.get((d1, d2))
+        if terms is None:
+            lat, pos2 = self._pushout_machinery(d1.entry, d2.entry)
+            word = d1.word + tuple(pos2[p] for p in d2.word)
+            sign, res = self.normalize_raw(
+                lat, tuple(range(self.base.n_atoms)), word)
+            terms = () if res is ZERO else ((res, Fraction(sign)),)
+            self._products[d1, d2] = terms
+        return DiagramVector(self, terms)
 
     def product_vectors(self, v1: DiagramVector, v2: DiagramVector) -> DiagramVector:
         out = DiagramVector(self)
@@ -363,6 +388,16 @@ class DiagramAlgebra:
         base = self.base
         if flat in (base.bottom, base.top):
             raise ImproperFlat("coproduct requires a proper flat")
+        self._own(diag)
+        terms = self._coproducts.get((diag, flat))
+        if terms is None:
+            terms = tuple(self._split(diag, flat).coeffs.items())
+            self._coproducts[diag, flat] = terms
+        return TensorVector(terms)
+
+    def _split(self, diag: Diagram, flat: int) -> TensorVector:
+        """The coproduct, computed afresh."""
+        base = self.base
         lowL, _, _, low_pos = interval_at(base, base.bottom, flat)
         upL, _, _, up_pos = interval_at(base, flat, base.top)
         low_alg = algebra_for(lowL)
@@ -478,17 +513,17 @@ class DiagramAlgebra:
         blocks = {}
         for raw_entry in catalog(self.base, *bounds):
             entry = self._register_entry(raw_entry)
-            if entry.has_odd_aut:
-                continue
             lat = entry.lat
             base_mask = entry.base_mask
+            if entry.has_odd_aut or _splits_off_base(lat, base_mask):
+                continue
             new_mask = ((1 << lat.n_atoms) - 1) ^ base_mask
             top_mask = lat.flat_masks[entry.top]
             above = [f for f, m in enumerate(lat.flat_masks)
                      if m & top_mask == top_mask]
             for smask in range(1 << entry.n_base):
                 word_mask = new_mask | smask
-                if _vanishes(lat, base_mask, word_mask, above):
+                if _modular_flat_kills(lat, word_mask, above):
                     continue
                 diag = self._diagram(entry, tuple(_mask_atoms(word_mask)))
                 blocks.setdefault((diag.grading, diag.degree),
@@ -590,23 +625,24 @@ def _atoms_mask(positions):
     return mask
 
 
-def _vanishes(lat, base_mask, word_mask, above):
-    """Whether a lattice rule kills the word over the base image.
+def _splits_off_base(lat, base_mask):
+    """Whether a factor of ``lat`` misses the base image: every word over
+    it vanishes."""
+    return any(s & base_mask == 0 for s in lat.factor_supports())
 
-    ``lat`` is spanned by the base image and the word, and ``above`` holds
-    the flats above the closure of the base image.  The word vanishes when
-    a factor of ``lat`` misses the base image, when a flat above it has
-    exactly one word atom outside, or when a modular flat above it has
-    exactly two.
+
+def _modular_flat_kills(lat, word_mask, above):
+    """Whether a modular flat among ``above`` (the flats above the closure
+    of the base image) has exactly two word atoms outside it.
+
+    ``lat`` is spanned by the base image and the word.  A flat above the
+    base image with exactly one word atom outside is then a hyperplane
+    whose complement is a coloop, a factor missing the base, so
+    ``_splits_off_base`` has already killed the word.
     """
-    if any(s & base_mask == 0 for s in lat.factor_supports()):
-        return True
     masks = lat.flat_masks
-    for f in above:
-        n_out = (word_mask & ~masks[f]).bit_count()
-        if n_out == 1 or (n_out == 2 and is_modular(lat, f)):
-            return True
-    return False
+    return any((word_mask & ~masks[f]).bit_count() == 2
+               and is_modular(lat, f) for f in above)
 
 
 def _first_atoms(pos, n):

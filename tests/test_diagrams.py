@@ -4,6 +4,7 @@ import pytest
 
 from conftest import grading_extension_lattice
 from mdg.diagrams import (
+    DiagramAlgebra,
     DiagramVector,
     ZERO,
     algebra_for,
@@ -13,6 +14,7 @@ from mdg.diagrams import (
 )
 from mdg.errors import ImproperFlat, MismatchedBase, NotGeometric
 from mdg.extensions import ModularExtension, catalog, identity_extension
+from mdg.harness import run_axiom_suite
 from mdg.lattice import (
     Embedding,
     GeometricLattice,
@@ -302,6 +304,84 @@ def test_diagram_equality_needs_the_same_base(pi3, b3):
     assert dataclasses.replace(d) == d
     rebuilt = GeometricLattice(pi3.atoms, pi3.flat_masks)
     assert algebra_for(rebuilt).unit() == d
+
+
+def test_structure_maps_reject_foreign_diagrams(pi3, b3):
+    alg = algebra_for(pi3)
+    d = alg.atom_diagram("1-2")
+    foreign = dataclasses.replace(d, algebra=algebra_for(b3))
+    f = pi3.flat_of_atoms(["1-2"])
+    with pytest.raises(MismatchedBase):
+        alg.differential_diagram(foreign)
+    with pytest.raises(MismatchedBase):
+        alg.product(foreign, d)
+    with pytest.raises(MismatchedBase):
+        alg.product(d, foreign)
+    with pytest.raises(MismatchedBase):
+        alg.coproduct(foreign, f)
+    with pytest.raises(ImproperFlat):       # the flat is checked first
+        alg.coproduct(foreign, pi3.top)
+
+
+def _by_key(vec):
+    return {d.key: c for d, c in vec.coeffs.items()}
+
+
+def test_structure_maps_match_a_cold_algebra(pi4):
+    # the maps kept on algebra_for(pi4), read on a second call, agree with
+    # an algebra that has nothing kept yet; its diagrams are the same ones
+    # over the new algebra
+    alg = algebra_for(pi4)
+    cold = DiagramAlgebra(pi4)
+    diags = [d for ds in alg.diagrams_within((3, 2)).values() for d in ds]
+
+    def twin(d):
+        return dataclasses.replace(d, algebra=cold)
+    proper = [f for f in range(pi4.n_flats) if f not in (pi4.bottom, pi4.top)]
+    for d in diags:
+        alg.differential_diagram(d)
+        assert (_by_key(alg.differential_diagram(d))
+                == _by_key(cold.differential_diagram(twin(d))))
+        for f in proper:
+            alg.coproduct(d, f)
+            assert alg.coproduct(d, f) == cold.coproduct(twin(d), f)
+    pairs = [(a, b) for a in diags[::7] for b in diags[::5]]
+    assert any(not alg.product(a, b).is_zero for a, b in pairs)
+    for a, b in pairs:
+        assert (_by_key(alg.product(a, b))
+                == _by_key(cold.product(twin(a), twin(b))))
+
+
+def test_mutating_a_result_leaves_the_kept_map_intact(pi4):
+    alg = algebra_for(pi4)
+    diags = [d for ds in alg.diagrams_within((3, 2)).values() for d in ds]
+    d = next(d for d in diags if not alg.differential_diagram(d).is_zero)
+    a, b = next((a, b) for a in diags for b in diags
+                if not alg.product(a, b).is_zero)
+    f, cop = next((f, alg.coproduct(d, f)) for f in range(pi4.n_flats)
+                  if f not in (pi4.bottom, pi4.top)
+                  and not alg.coproduct(d, f).is_zero)
+    for call, mutate in (
+            (lambda: alg.differential_diagram(d), lambda v: v.add_term(1, d)),
+            (lambda: alg.product(a, b), lambda v: v.add_term(1, a)),
+            (lambda: alg.coproduct(d, f),
+             lambda v: v.add_term(1, *next(iter(cop.coeffs))))):
+        want = call()
+        got = call()
+        mutate(got)
+        assert got != want
+        assert call() == want
+
+
+def test_axiom_suite_same_with_cold_and_warm_maps(pi4):
+    # a relabeled copy of pi4 has its own algebra, so the first run starts
+    # with nothing kept and the second reads what the first kept
+    copy = GeometricLattice(tuple("x" + a for a in pi4.atoms), pi4.flat_masks)
+    first = run_axiom_suite(copy, 3, 2)
+    second = run_axiom_suite(copy, 3, 2)
+    assert first.passed
+    assert second.checks == first.checks
+    assert second.tables == first.tables
 
 
 def test_bottom_grading_is_unit_only(pi3, pi4):

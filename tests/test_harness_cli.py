@@ -267,10 +267,16 @@ def test_cli_input_errors(tmp_path):
 
 
 def test_cli_entrypoint_subprocess():
+    # the child imports mdg from where this process did, with or without
+    # PYTHONPATH set
+    import mdg
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mdg.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "mdg.cli", "os", "hilbert",
          "--lattice", "pi3"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert proc.stdout.strip() == "1 3 2"
 
