@@ -38,8 +38,7 @@ def _load(arg: str) -> GeometricLattice:
 
 def _load_graph_edges(arg: str):
     if arg in corpus.corpus_names():
-        from .harness import _corpus_graph_edges
-        edges = _corpus_graph_edges(arg)
+        edges = corpus.graph_edges(arg)
         if edges is None:
             raise SpecParse(f"corpus lattice {arg!r} is not graphical")
         return edges

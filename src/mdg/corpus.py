@@ -10,7 +10,6 @@ from .lattice import (
     build_boolean,
     build_from_flats,
     build_from_graph,
-    build_partition_lattice,
 )
 
 
@@ -75,6 +74,28 @@ def complete_graph_edges(n):
     return [(str(i), str(j)) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
 
+# the graphic corpus lattices: name -> (edge family, size)
+_GRAPHS = {
+    "pi2": (complete_graph_edges, 2),
+    "pi3": (complete_graph_edges, 3),
+    "pi4": (complete_graph_edges, 4),
+    "pi5": (complete_graph_edges, 5),
+    "c4": (cycle_graph_edges, 4),
+    "c5": (cycle_graph_edges, 5),
+    "k4": (complete_graph_edges, 4),
+    "path3": (path_graph_edges, 3),
+    "path4": (path_graph_edges, 4),
+}
+
+
+def graph_edges(name: str):
+    """Edges of the graph of a graphic corpus lattice; None for the others."""
+    if name not in _GRAPHS:
+        return None
+    family, size = _GRAPHS[name]
+    return family(size)
+
+
 def corpus_names():
     return list(_BUILDERS)
 
@@ -83,20 +104,24 @@ def build_corpus_lattice(name: str) -> GeometricLattice:
     return _BUILDERS[name]()
 
 
+def _graphic(name):
+    return lambda: build_from_graph(graph_edges(name), name=name)
+
+
 _BUILDERS = {
-    "pi2": lambda: build_partition_lattice(2),
-    "pi3": lambda: build_partition_lattice(3),
-    "pi4": lambda: build_partition_lattice(4),
-    "pi5": lambda: build_partition_lattice(5),
+    "pi2": _graphic("pi2"),
+    "pi3": _graphic("pi3"),
+    "pi4": _graphic("pi4"),
+    "pi5": _graphic("pi5"),
     "b1": lambda: build_boolean(1),
     "b2": lambda: build_boolean(2),
     "b3": lambda: build_boolean(3),
     "b4": lambda: build_boolean(4),
-    "c4": lambda: build_from_graph(cycle_graph_edges(4), name="c4"),
-    "c5": lambda: build_from_graph(cycle_graph_edges(5), name="c5"),
-    "k4": lambda: build_from_graph(complete_graph_edges(4), name="k4"),
-    "path3": lambda: build_from_graph(path_graph_edges(3), name="path3"),
-    "path4": lambda: build_from_graph(path_graph_edges(4), name="path4"),
+    "c4": _graphic("c4"),
+    "c5": _graphic("c5"),
+    "k4": _graphic("k4"),
+    "path3": _graphic("path3"),
+    "path4": _graphic("path4"),
     "plane8": eight_point_plane,
     "plane7": seven_point_plane,
 }

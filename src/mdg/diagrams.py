@@ -30,10 +30,11 @@ from .errors import (
     NotIso,
 )
 from .extensions import CatalogEntry, ModularExtension, _canonical_entry, catalog
-from .lattice import (Embedding, GeometricLattice, _mask_atoms, interval_at,
-                      parallel_connection, restriction, same_lattice)
+from .lattice import (Embedding, GeometricLattice, _atoms_mask, _mask_atoms,
+                      _merge_sign, _word_sign, interval_at, parallel_connection,
+                      restriction, same_lattice)
 from .modularity import is_modular
-from .os_algebra import OSElement, reduce_to_nbc, _word_sign
+from .os_algebra import OSElement, reduce_to_nbc
 
 
 ZERO = None  # sentinel for normalized-to-zero
@@ -409,20 +410,14 @@ class DiagramAlgebra:
         base_all = (1 << diag.entry.n_base) - 1
         f_mask = base.flat_masks[flat]
         out = TensorVector()
-        word = diag.word
+        word_mask = _atoms_mask(diag.word)
         for f, m in enumerate(lat.flat_masks):
             if m & base_all != f_mask:
                 continue
-            inside = [p for p in word if m >> p & 1]
-            outside = [p for p in word if not m >> p & 1]
-            inversions = 0
-            seen_out = 0
-            for p in word:
-                if m >> p & 1:
-                    inversions += seen_out
-                else:
-                    seen_out += 1
-            eps = -1 if inversions % 2 else 1
+            in_mask, out_mask = word_mask & m, word_mask & ~m
+            inside = tuple(_mask_atoms(in_mask))
+            outside = tuple(_mask_atoms(out_mask))
+            eps = _merge_sign(in_mask, out_mask)
 
             # lower factor: interval below f, base = interval below flat
             sub_lo, _, _, pos = interval_at(lat, lat.bottom, f)
@@ -616,13 +611,6 @@ class DiagramAlgebra:
             cell_betti.update(((n, d), v) for d, v in per_degree.items())
         return CohomologyBlock(grading, bounds, dims, ranks, betti, healed,
                                matrices, grading_rank, cell_betti)
-
-
-def _atoms_mask(positions):
-    mask = 0
-    for p in positions:
-        mask |= 1 << p
-    return mask
 
 
 def _splits_off_base(lat, base_mask):

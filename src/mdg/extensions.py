@@ -25,6 +25,7 @@ from .lattice import (
     GeometricLattice,
     _mask_atoms,
     _move_masks,
+    _word_sign,
     identity_embedding,
     interval,
     parallel_connection,
@@ -324,12 +325,9 @@ class CatalogEntry:
         self.certificate = certificate
         self.top = top
         self.automorphisms = automorphisms
-        parities = set()
-        idx_new = list(range(n_base, lat.n_atoms))
-        for a in automorphisms:
-            perm = [a[i] for i in idx_new]
-            parities.add(_parity(perm, idx_new))
-        self.has_odd_aut = -1 in parities
+        # an automorphism fixes the base prefix and permutes the new atoms
+        self.has_odd_aut = any(_word_sign(a[n_base:])[1] < 0
+                               for a in automorphisms)
         self.atom_flats = tuple(lat.flat_index[1 << i]
                                 for i in range(lat.n_atoms))
 
@@ -340,25 +338,6 @@ class CatalogEntry:
     def as_modular_extension(self, base):
         emb = Embedding(base, self.lat, tuple(range(self.n_base)))
         return ModularExtension(emb, self.top)
-
-
-def _parity(perm_values, domain):
-    """Parity (+1/-1) of the permutation sending domain[i] to perm_values[i]."""
-    pos = {v: i for i, v in enumerate(domain)}
-    seen = [False] * len(domain)
-    sign = 1
-    for i in range(len(domain)):
-        if seen[i]:
-            continue
-        j = i
-        clen = 0
-        while not seen[j]:
-            seen[j] = True
-            j = pos[perm_values[j]]
-            clen += 1
-        if clen % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def _canonical_entry(lat, base, level, extra_rank, fixed_labels=None):

@@ -350,7 +350,7 @@ def run_axiom_suite(lat: GeometricLattice, max_new_atoms=3, max_extra_rank=2,
                     rhs[key] = rhs.get(key, 0) + c * c2
             lhs = {k: v for k, v in lhs.items() if v}
             rhs = {k: v for k, v in rhs.items() if v}
-            if not _triple_tensors_equal(lhs, rhs):
+            if lhs != rhs:
                 bad_coassoc += 1
     rep.add("coproduct-coassociative", "PASS" if bad_coassoc == 0 else "FAIL",
             chains=len(chains), failures=bad_coassoc)
@@ -371,17 +371,6 @@ def run_axiom_suite(lat: GeometricLattice, max_new_atoms=3, max_extra_rank=2,
     rep.add("free-generation-refactoring", "PASS" if bad_free == 0 else "FAIL",
             checked=n_free, failures=bad_free)
     return rep
-
-
-def _triple_tensors_equal(lhs, rhs):
-    """Compare triple tensors keyed by diagrams over structurally equal
-    interval lattices.  The two sides reach the intervals by different
-    routes, so their diagrams may belong to different algebras: keys
-    compare by certificate and word only."""
-    def norm(d):
-        return {tuple((x.entry.certificate, x.word) for x in k): v
-                for k, v in d.items()}
-    return norm(lhs) == norm(rhs)
 
 
 def _refactors(alg, diag) -> bool:
@@ -448,22 +437,10 @@ def golden_report(name: str) -> dict:
             modular_characterizations_agree(lat, f)
             for f in range(lat.n_flats)),
     }
-    graph_edges = _corpus_graph_edges(name)
+    graph_edges = corpus.graph_edges(name)
     if graph_edges is not None:
         report["chordal"] = chordality_crosscheck(graph_edges)
     return report
-
-
-def _corpus_graph_edges(name):
-    if name.startswith("c") and name[1:].isdigit():
-        return corpus.cycle_graph_edges(int(name[1:]))
-    if name.startswith("k") and name[1:].isdigit():
-        return corpus.complete_graph_edges(int(name[1:]))
-    if name.startswith("path"):
-        return corpus.path_graph_edges(int(name[4:]))
-    if name.startswith("pi"):
-        return corpus.complete_graph_edges(int(name[2:]))
-    return None
 
 
 GOLDEN_CORPUS = ["pi2", "pi3", "pi4", "b1", "b2", "b3", "b4", "c4", "c5",

@@ -7,6 +7,9 @@ containing a union), meets by intersection of atom sets; both are exact
 for geometric lattices.
 
 All lattice values are immutable after construction and safe to share.
+The bit helpers at the top (atom positions to masks and back, the sign
+of sorting a word, the sign of merging two sorted words) serve every
+module.
 """
 
 from __future__ import annotations
@@ -25,8 +28,12 @@ from .errors import (
 )
 
 
-def _popcount(x: int) -> int:
-    return x.bit_count()
+def _atoms_mask(positions):
+    """The bitmask with the given atom positions set."""
+    mask = 0
+    for p in positions:
+        mask |= 1 << p
+    return mask
 
 
 def _mask_atoms(mask: int):
@@ -35,6 +42,36 @@ def _mask_atoms(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _word_sign(positions) -> tuple:
+    """(sorted tuple, sign) for a word of atom positions; sign 0 on repeats."""
+    n = len(positions)
+    sign = 1
+    arr = list(positions)
+    for i in range(n):
+        for j in range(n - 1 - i):
+            if arr[j] > arr[j + 1]:
+                arr[j], arr[j + 1] = arr[j + 1], arr[j]
+                sign = -sign
+            elif arr[j] == arr[j + 1]:
+                return tuple(arr), 0
+    return tuple(arr), sign
+
+
+def _merge_sign(first: int, second: int) -> int:
+    """Sign of sorting the concatenation of two increasing words."""
+    inversions = 0
+    seconds_seen = 0
+    m = first | second
+    while m:
+        low = m & -m
+        if second & low:
+            seconds_seen += 1
+        else:
+            inversions += seconds_seen
+        m ^= low
+    return -1 if inversions % 2 else 1
 
 
 def _move_masks(masks, pos):
@@ -90,7 +127,7 @@ class GeometricLattice:
         self.name = name
 
         masks = sorted(set(int(m) for m in flat_masks),
-                       key=lambda m: (_popcount(m), m))
+                       key=lambda m: (m.bit_count(), m))
         self.flat_masks = tuple(masks)
         self.flat_index = {m: i for i, m in enumerate(masks)}
         self._join_cache = {}
@@ -144,7 +181,7 @@ class GeometricLattice:
                 if mj != m and mj | m == m:
                     lower[i].append(j)
         ranks = [0] * n_f
-        order = sorted(range(n_f), key=lambda i: _popcount(masks[i]))
+        order = sorted(range(n_f), key=lambda i: masks[i].bit_count())
         for i in order:
             if not lower[i]:
                 ranks[i] = 0
@@ -257,14 +294,7 @@ class GeometricLattice:
         return idx
 
     def meet(self, a: int, b: int) -> int:
-        inter = self.flat_masks[a] & self.flat_masks[b]
-        idx = self.flat_index.get(inter)
-        if idx is not None:
-            return idx
-        # legal lattices are intersection-closed; keep a correct fallback
-        below = [i for i, m in enumerate(self.flat_masks) if m | inter == inter]
-        best = max(below, key=lambda i: self.ranks[i])
-        return best
+        return self.flat_index[self.flat_masks[a] & self.flat_masks[b]]
 
     def leq(self, a: int, b: int) -> bool:
         return self.flat_masks[a] | self.flat_masks[b] == self.flat_masks[b]
@@ -338,15 +368,13 @@ class GeometricLattice:
             if len(members) < r + 1 or r + 1 < 2:
                 continue
             for sub in itertools.combinations(members, r + 1):
-                mask = 0
-                for x in sub:
-                    mask |= 1 << x
+                mask = _atoms_mask(sub)
                 if self.closure(mask) != f:
                     continue
                 if all(self.ranks[self.closure(mask & ~(1 << x))] == r
                        for x in sub):
                     found.append(mask)
-        self._circuits = tuple(sorted(found, key=lambda m: (_popcount(m), m)))
+        self._circuits = tuple(sorted(found, key=lambda m: (m.bit_count(), m)))
         return self._circuits
 
     def rank_of_mask(self, mask: int) -> int:
@@ -376,20 +404,14 @@ class Embedding:
             raise ForeignFlat("embedding atom map has the wrong length")
 
     def image_mask(self, fidx: int) -> int:
-        m = self.source.flat_masks[fidx]
-        out = 0
-        for i in _mask_atoms(m):
-            out |= 1 << self.atom_map[i]
-        return out
+        return _atoms_mask(self.atom_map[i]
+                           for i in _mask_atoms(self.source.flat_masks[fidx]))
 
     def flat_image(self, fidx: int) -> int:
         return self.target.closure(self.image_mask(fidx))
 
     def atom_image_mask(self) -> int:
-        out = 0
-        for t in self.atom_map:
-            out |= 1 << t
-        return out
+        return _atoms_mask(self.atom_map)
 
     def validate(self):
         src, tgt = self.source, self.target
@@ -522,7 +544,7 @@ def build_boolean(n: int = None, atoms=None, *, name=None) -> GeometricLattice:
         atoms = tuple(f"x{i+1}" for i in range(n))
     atoms = tuple(atoms)
     masks = range(1 << len(atoms))
-    ranks = {m: _popcount(m) for m in masks}
+    ranks = {m: m.bit_count() for m in masks}
     return GeometricLattice(atoms, masks, ranks=ranks, validate=False,
                             name=name or f"b{len(atoms)}")
 
@@ -559,9 +581,7 @@ def restriction(lat: GeometricLattice, atom_labels, *, name=None):
         if a not in lat.atom_index:
             raise ForeignFlat(f"unknown atom {a!r}")
     positions = [lat.atom_index[a] for a in chosen]
-    sel_mask = 0
-    for p in positions:
-        sel_mask |= 1 << p
+    sel_mask = _atoms_mask(positions)
     pos_of = {p: i for i, p in enumerate(positions)}
 
     masks = {}

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ForeignFlat, ImproperFlat, LatticeMismatch, SpecParse
-from .lattice import GeometricLattice, _mask_atoms, interval_at
+from .lattice import (GeometricLattice, _atoms_mask, _mask_atoms, _merge_sign,
+                      _word_sign, interval_at)
 
 
 class OSContext:
@@ -28,7 +29,7 @@ class OSContext:
             b = c ^ least
             self.broken.append(b)
             self.circuit_of_broken[b] = c
-        self.broken.sort(key=lambda m: (m.bit_count(), _atom_tuple(m)))
+        self.broken.sort(key=lambda m: (m.bit_count(), tuple(_mask_atoms(m))))
         self._reduce_memo = {}
         self._nbc = None
 
@@ -57,7 +58,7 @@ class OSContext:
             b = containing[0]  # least broken circuit first
             circuit = self.circuit_of_broken[b]
             rest = mask ^ b
-            atoms_c = _atom_list(circuit)
+            atoms_c = list(_mask_atoms(circuit))
             # e_mask = unmerge * e_b ∧ e_rest, then straighten e_b along the
             # circuit boundary and re-sort each term
             unmerge = _merge_sign(b, rest)
@@ -75,44 +76,6 @@ class OSContext:
             result = {m: c for m, c in result.items() if c}
         self._reduce_memo[mask] = result
         return result
-
-
-def _atom_list(mask: int):
-    return list(_mask_atoms(mask))
-
-
-def _atom_tuple(mask: int):
-    return tuple(_mask_atoms(mask))
-
-
-def _merge_sign(first: int, second: int) -> int:
-    """Sign of sorting the concatenation of two increasing words."""
-    inversions = 0
-    seconds_seen = 0
-    m = first | second
-    while m:
-        low = m & -m
-        if second & low:
-            seconds_seen += 1
-        else:
-            inversions += seconds_seen
-        m ^= low
-    return -1 if inversions % 2 else 1
-
-
-def _word_sign(positions) -> tuple:
-    """(sorted tuple, sign) for a word of atom positions; sign 0 on repeats."""
-    n = len(positions)
-    sign = 1
-    arr = list(positions)
-    for i in range(n):
-        for j in range(n - 1 - i):
-            if arr[j] > arr[j + 1]:
-                arr[j], arr[j + 1] = arr[j + 1], arr[j]
-                sign = -sign
-            elif arr[j] == arr[j + 1]:
-                return tuple(arr), 0
-    return tuple(arr), sign
 
 
 def os_context(lat: GeometricLattice) -> OSContext:
@@ -180,12 +143,8 @@ def reduce_to_nbc(lat: GeometricLattice, word) -> OSElement:
     sorted_pos, sign = _word_sign(positions)
     if sign == 0:
         return OSElement.zero(lat)
-    mask = 0
-    for p in sorted_pos:
-        mask |= 1 << p
-    ctx = os_context(lat)
-    return OSElement.from_dict(
-        lat, {m: sign * c for m, c in ctx.reduce_set(mask).items()})
+    reduced = os_context(lat).reduce_set(_atoms_mask(sorted_pos))
+    return OSElement.from_dict(lat, {m: sign * c for m, c in reduced.items()})
 
 
 def multiply(a: OSElement, b: OSElement) -> OSElement:
@@ -287,30 +246,16 @@ def os_coproduct(elem: OSElement, flat: int):
     up_ctx = os_context(upper)
     out = {}
     for m, c in elem.coeffs:
-        low_positions = []
-        up_positions = []
-        unshuffle = 1
-        for i in _mask_atoms(m):
-            if fmask >> i & 1:
-                low_positions.append(low_pos[i])
-                if len(up_positions) % 2:
-                    unshuffle = -unshuffle
-            else:
-                assert up_pos[i] is not None
-                up_positions.append(up_pos[i])
-        lsorted, lsign = _word_sign(low_positions)
+        below, above = m & fmask, m & ~fmask
+        up_positions = [up_pos[i] for i in _mask_atoms(above)]
+        assert None not in up_positions
+        lsorted, lsign = _word_sign([low_pos[i] for i in _mask_atoms(below)])
         usorted, usign = _word_sign(up_positions)
         if lsign == 0 or usign == 0:
             continue
-        lmask = 0
-        for p in lsorted:
-            lmask |= 1 << p
-        umask = 0
-        for p in usorted:
-            umask |= 1 << p
-        total = c * unshuffle * lsign * usign
-        for lm2, c2 in low_ctx.reduce_set(lmask).items():
-            for um2, c3 in up_ctx.reduce_set(umask).items():
+        total = c * _merge_sign(below, above) * lsign * usign
+        for lm2, c2 in low_ctx.reduce_set(_atoms_mask(lsorted)).items():
+            for um2, c3 in up_ctx.reduce_set(_atoms_mask(usorted)).items():
                 key = (lm2, um2)
                 out[key] = out.get(key, 0) + total * c2 * c3
     out = {k: v for k, v in out.items() if v}

@@ -175,6 +175,25 @@ def brute_automorphism_count(lat):
     return extend(0)
 
 
+def perm_parity(a, b):
+    """Sign of the permutation that reorders sequence ``a`` into ``b``,
+    by counting its even cycles."""
+    perm = [a.index(x) for x in b]
+    seen = [False] * len(perm)
+    sign = 1
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        j, c = i, 0
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            c += 1
+        if c % 2 == 0:
+            sign = -sign
+    return sign
+
+
 def group_closure(gens, n):
     """All products of the generators (permutations of range(n) as
     tuples), the identity included."""

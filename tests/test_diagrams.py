@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from conftest import grading_extension_lattice
+from conftest import grading_extension_lattice, perm_parity
 from mdg.diagrams import (
     DiagramAlgebra,
     DiagramVector,
@@ -614,25 +614,8 @@ def test_normalize_sign_coherence_random(pi3):
         assert (d0 is ZERO) == (d1 is ZERO)
         if d0 is not ZERO:
             assert d0 == d1
-            parity = _perm_parity(labels, shuffled)
+            parity = perm_parity(labels, shuffled)
             assert s1 == s0 * parity
-
-
-def _perm_parity(a, b):
-    perm = [a.index(x) for x in b]
-    seen = [False] * len(perm)
-    sign = 1
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, c = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            c += 1
-        if c % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def test_differential_on_partial_words_random(pi3):

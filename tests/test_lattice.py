@@ -7,9 +7,11 @@ from conftest import (
     brute_rank,
     flats_of,
     group_closure,
+    perm_parity,
     set_partitions,
 )
 from mdg.canon import canonical_form, certificates_equal
+from mdg.corpus import build_corpus_lattice, corpus_names, graph_edges
 from mdg.errors import (
     DuplicateEdge,
     ForeignFlat,
@@ -20,6 +22,8 @@ from mdg.errors import (
 )
 from mdg.extensions import catalog
 from mdg.lattice import (
+    _merge_sign,
+    _word_sign,
     build_boolean,
     build_from_flats,
     build_from_graph,
@@ -33,6 +37,7 @@ from mdg.lattice import (
     meet,
     rank,
     restriction,
+    same_lattice,
 )
 
 
@@ -299,3 +304,36 @@ def test_foreign_flat_errors(pi3):
         pi3.flat_of_atoms(["1-2", "1-3"])  # not closed
     with pytest.raises(ForeignFlat):
         rank(pi3, 99)
+
+
+def test_word_sign_is_permutation_parity():
+    positions = (0, 2, 3, 5, 8, 9)
+    for k in range(len(positions) + 1):
+        for word in itertools.permutations(positions[:k]):
+            ordered = tuple(sorted(word))
+            assert _word_sign(word) == (ordered, perm_parity(ordered, word))
+    for k in range(2, 5):
+        for word in itertools.product(range(3), repeat=k):
+            if len(set(word)) < k:
+                assert _word_sign(word)[1] == 0
+
+
+def test_merge_sign_counts_inversions():
+    # each of 7 bits goes to the first word, the second word or neither
+    for side in itertools.product((0, 1, 2), repeat=7):
+        first = [i for i in range(7) if side[i] == 1]
+        second = [i for i in range(7) if side[i] == 2]
+        inversions = sum(a > b for a in first for b in second)
+        assert (_merge_sign(sum(1 << i for i in first),
+                            sum(1 << i for i in second))
+                == (-1) ** inversions)
+
+
+def test_corpus_graph_edges_build_the_graphic_lattices():
+    graphic = [name for name in corpus_names() if graph_edges(name) is not None]
+    assert graphic == ["pi2", "pi3", "pi4", "pi5", "c4", "c5", "k4",
+                       "path3", "path4"]
+    for name in graphic:
+        lat = build_corpus_lattice(name)
+        assert same_lattice(lat, build_from_graph(graph_edges(name)))
+    assert graph_edges("plane8") is None
