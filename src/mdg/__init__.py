@@ -52,10 +52,9 @@ from .os_algebra import (
     reduce_to_nbc,
 )
 from .diagrams import (
+    Combination,
     Diagram,
-    DiagramVector,
     I_morphism,
-    TensorVector,
     ZERO,
     algebra_for,
     basis,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -68,6 +69,15 @@ def _count(text):
         raise argparse.ArgumentTypeError(
             f"expected a non-negative integer, got {text!r}")
     return int(text)
+
+
+def _seconds(text):
+    """A finite, positive number of seconds."""
+    value = float(text)     # argparse reports a ValueError as a usage error
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite, positive number of seconds, got {text!r}")
+    return value
 
 
 def _add_common(p, bounds=True):
@@ -135,7 +145,7 @@ def build_parser():
                        help="truncated cohomology against the predicted "
                             "top-grading values")
     _add_common(p)
-    p.add_argument("--timeout", type=float, default=None,
+    p.add_argument("--timeout", type=_seconds, default=None,
                    help="wall-clock limit in seconds (exit 3 on excess)")
 
     p = sub.add_parser("axioms", help="structural identity suite")
@@ -367,8 +377,7 @@ def _dump_matrices(block, out_dir):
         cols = block.dims.get(k, 0)
         m = RationalMatrix(rows, cols)
         for (r, c), v in entries.items():
-            if v:
-                m.set(r, c, v)
+            m.set(r, c, v)
         with open(os.path.join(out_dir, f"d{k}.txt"), "w",
                   encoding="utf-8") as fh:
             m.dump(fh)

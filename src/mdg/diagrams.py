@@ -20,7 +20,6 @@ computed once and kept on their algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import (
     ImproperFlat,
@@ -78,35 +77,33 @@ class Diagram:
         }
 
 
-class DiagramVector:
-    """A rational combination of normalized diagrams over one base."""
+class Combination:
+    """An integer combination of hashable keys: diagrams, or tuples of
+    diagrams (the terms of a coproduct or of an iterated coproduct)."""
 
-    __slots__ = ("algebra", "coeffs")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, algebra, coeffs=None):
-        self.algebra = algebra
-        self.coeffs = dict(coeffs or {})
+    def __init__(self, coeffs=()):
+        self.coeffs = dict(coeffs)
 
-    def add_term(self, sign, diagram, coeff=1):
-        if diagram is ZERO or sign == 0:
+    def add_term(self, coeff, key):
+        if key is ZERO or coeff == 0:
             return self
-        c = self.coeffs.get(diagram, Fraction(0)) + Fraction(sign) * Fraction(coeff)
+        c = self.coeffs.get(key, 0) + coeff
         if c:
-            self.coeffs[diagram] = c
+            self.coeffs[key] = c
         else:
-            self.coeffs.pop(diagram, None)
+            del self.coeffs[key]
         return self
 
     def __add__(self, other):
-        out = DiagramVector(self.algebra, self.coeffs)
-        for d, c in other.coeffs.items():
-            out.add_term(1, d, c)
+        out = Combination(self.coeffs)
+        for k, c in other.coeffs.items():
+            out.add_term(c, k)
         return out
 
     def scale(self, c):
-        c = Fraction(c)
-        return DiagramVector(self.algebra,
-                             {d: v * c for d, v in self.coeffs.items() if v * c})
+        return Combination({k: v * c for k, v in self.coeffs.items() if v * c})
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -115,47 +112,11 @@ class DiagramVector:
     def is_zero(self):
         return not self.coeffs
 
-    def blocks(self):
-        """Split into homogeneous (grading, degree) components."""
-        out = {}
-        for d, c in self.coeffs.items():
-            key = (d.grading, d.degree)
-            out.setdefault(key, DiagramVector(self.algebra)).add_term(1, d, c)
-        return out
-
     def __eq__(self, other):
-        return isinstance(other, DiagramVector) and self.coeffs == other.coeffs
+        return isinstance(other, Combination) and self.coeffs == other.coeffs
 
     def __repr__(self):
-        terms = [f"{c}*{d.describe()['word']}" for d, c in self.coeffs.items()]
-        return "DiagramVector(" + " + ".join(terms) + ")"
-
-
-class TensorVector:
-    """Rational combination of pairs of diagrams over two interval bases."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=None):
-        self.coeffs = dict(coeffs or {})
-
-    def add_term(self, coeff, low, high):
-        if low is ZERO or high is ZERO or coeff == 0:
-            return self
-        key = (low, high)
-        c = self.coeffs.get(key, Fraction(0)) + Fraction(coeff)
-        if c:
-            self.coeffs[key] = c
-        else:
-            self.coeffs.pop(key, None)
-        return self
-
-    @property
-    def is_zero(self):
-        return not self.coeffs
-
-    def __eq__(self, other):
-        return isinstance(other, TensorVector) and self.coeffs == other.coeffs
+        return f"Combination({self.coeffs!r})"
 
 
 _ALGEBRAS = {}
@@ -302,22 +263,22 @@ class DiagramAlgebra:
         if diag.algebra is not self:
             raise MismatchedBase("diagram is over a different base")
 
-    def differential_diagram(self, diag: Diagram) -> DiagramVector:
+    def differential_diagram(self, diag: Diagram) -> Combination:
         self._own(diag)
         terms = self._differentials.get(diag)
         if terms is None:
-            out = DiagramVector(self)
+            out = Combination()
             for k in self.contractible_positions(diag):
                 sign, res = self.contract(diag, k)
                 out.add_term(sign * (-1) ** k, res)
             terms = self._differentials[diag] = tuple(out.coeffs.items())
-        return DiagramVector(self, terms)
+        return Combination(terms)
 
-    def differential(self, vec: DiagramVector) -> DiagramVector:
-        out = DiagramVector(self)
+    def differential(self, vec: Combination) -> Combination:
+        out = Combination()
         for d, c in vec.coeffs.items():
             for d2, c2 in self.differential_diagram(d).coeffs.items():
-                out.add_term(1, d2, c * c2)
+                out.add_term(c * c2, d2)
         return out
 
     # ------------------------------------------------------------------
@@ -344,7 +305,7 @@ class DiagramAlgebra:
         self._pushout_cache[key] = machinery
         return machinery
 
-    def product(self, d1: Diagram, d2: Diagram) -> DiagramVector:
+    def product(self, d1: Diagram, d2: Diagram) -> Combination:
         self._own(d1)
         self._own(d2)
         terms = self._products.get((d1, d2))
@@ -353,16 +314,16 @@ class DiagramAlgebra:
             word = d1.word + tuple(pos2[p] for p in d2.word)
             sign, res = self.normalize_raw(
                 lat, tuple(range(self.base.n_atoms)), word)
-            terms = () if res is ZERO else ((res, Fraction(sign)),)
+            terms = () if res is ZERO else ((res, sign),)
             self._products[d1, d2] = terms
-        return DiagramVector(self, terms)
+        return Combination(terms)
 
-    def product_vectors(self, v1: DiagramVector, v2: DiagramVector) -> DiagramVector:
-        out = DiagramVector(self)
+    def product_vectors(self, v1: Combination, v2: Combination) -> Combination:
+        out = Combination()
         for a, ca in v1.coeffs.items():
             for b, cb in v2.coeffs.items():
                 for d, c in self.product(a, b).coeffs.items():
-                    out.add_term(1, d, ca * cb * c)
+                    out.add_term(ca * cb * c, d)
         return out
 
     # ------------------------------------------------------------------
@@ -370,7 +331,7 @@ class DiagramAlgebra:
 
     def to_os(self, diag_or_vec) -> OSElement:
         if isinstance(diag_or_vec, Diagram):
-            vec = DiagramVector(self).add_term(1, diag_or_vec)
+            vec = Combination().add_term(1, diag_or_vec)
         else:
             vec = diag_or_vec
         out = OSElement.zero(self.base)
@@ -384,7 +345,7 @@ class DiagramAlgebra:
     # ------------------------------------------------------------------
     # cooperadic coproduct
 
-    def coproduct(self, diag: Diagram, flat: int) -> TensorVector:
+    def coproduct(self, diag: Diagram, flat: int) -> Combination:
         """Split along a proper base flat into lower/upper diagram pairs."""
         base = self.base
         if flat in (base.bottom, base.top):
@@ -394,9 +355,9 @@ class DiagramAlgebra:
         if terms is None:
             terms = tuple(self._split(diag, flat).coeffs.items())
             self._coproducts[diag, flat] = terms
-        return TensorVector(terms)
+        return Combination(terms)
 
-    def _split(self, diag: Diagram, flat: int) -> TensorVector:
+    def _split(self, diag: Diagram, flat: int) -> Combination:
         """The coproduct, computed afresh."""
         base = self.base
         lowL, _, _, low_pos = interval_at(base, base.bottom, flat)
@@ -409,7 +370,7 @@ class DiagramAlgebra:
         lat = diag.entry.lat
         base_all = (1 << diag.entry.n_base) - 1
         f_mask = base.flat_masks[flat]
-        out = TensorVector()
+        out = Combination()
         word_mask = _atoms_mask(diag.word)
         for f, m in enumerate(lat.flat_masks):
             if m & base_all != f_mask:
@@ -436,7 +397,7 @@ class DiagramAlgebra:
                 tuple(pos[p] for p in outside))
             if d_up is ZERO:
                 continue
-            out.add_term(eps * s_lo * s_up, d_lo, d_up)
+            out.add_term(eps * s_lo * s_up, (d_lo, d_up))
         return out
 
     # ------------------------------------------------------------------
@@ -534,74 +495,55 @@ class DiagramAlgebra:
     def cohomology_block(self, grading: int, bounds):
         """Truncated cohomology of the fixed-grading subcomplex.
 
-        The enumerated basis is closed under the differential on the fly:
-        any diagram reached by contraction stays within the bounds, so a
-        missing target is appended (and counted) rather than dropped.
+        The enumerated basis is closed under the differential: a diagram
+        reached by contraction stays within the bounds, so every target is
+        a basis diagram one degree up, of the same grading and nullity.
 
         Contraction removes one word atom and lowers the word's rank by
         one, so the complex is a direct sum over the nullity of the word.
-        Each matrix is split into its nullity blocks and ranked block by
-        block; the block ranks sum to the degree ranks.
+        Each (nullity, degree) cell has its own matrix and is ranked on its
+        own; the cell ranks sum to the degree ranks.
         """
         from .linalg import RationalMatrix, betti_from_ranks, rank as matrix_rank
         new_atoms, extra_rank = bounds      # a pair: no third slot here
         bounds = (new_atoms, extra_rank)
         grading_rank = self.base.ranks[grading]
-        blocks = {deg: list(diags)
+        blocks = {deg: diags
                   for (g, deg), diags in self.diagrams_within(bounds).items()
                   if g == grading}
         if not blocks:
             return CohomologyBlock(grading, bounds, {}, {}, {}, 0, {},
                                    grading_rank, {})
-        healed = 0
-        degrees = sorted(blocks)
-        index = {deg: {d: i for i, d in enumerate(ds)}
-                 for deg, ds in blocks.items()}
-        matrices = {}
-        k = degrees[0]
-        while k <= max(degrees):
-            cols = blocks.get(k, [])
-            entries = {}
-            for ci, diag in enumerate(cols):
-                img = self.differential_diagram(diag)
-                for d2, c in img.coeffs.items():
-                    assert d2.degree == k + 1 and d2.grading == grading
-                    assert d2.nullity == diag.nullity
-                    row_index = index.setdefault(k + 1, {})
-                    ri = row_index.get(d2)
-                    if ri is None:
-                        ri = len(row_index)
-                        row_index[d2] = ri
-                        blocks.setdefault(k + 1, []).append(d2)
-                        healed += 1
-                    entries[(ri, ci)] = entries.get((ri, ci), 0) + c
-            matrices[k] = entries
-            degrees = sorted(blocks)
-            k += 1
-        dims = {deg: len(ds) for deg, ds in blocks.items()}
-        # position of each basis diagram inside its (nullity, degree) cell
+        # each basis diagram's position in its degree and in its cell
+        pos = {}
         cell_dims = {}
-        cell_pos = {}
         for deg, ds in blocks.items():
             for i, d in enumerate(ds):
                 cell = (d.nullity, deg)
-                cell_pos[deg, i] = cell_dims.get(cell, 0)
-                cell_dims[cell] = cell_pos[deg, i] + 1
-        ranks = {}
-        cell_ranks = {}
-        for k, entries in matrices.items():
-            split = {}
-            for (r, c), v in entries.items():
-                if v:
-                    n = blocks[k][c].nullity
-                    split.setdefault(n, {})[cell_pos[k + 1, r],
-                                            cell_pos[k, c]] = v
-            for n, part in split.items():
-                m = RationalMatrix(cell_dims[n, k + 1], cell_dims[n, k])
-                for (r, c), v in part.items():
-                    m.set(r, c, v)
-                cell_ranks[n, k] = matrix_rank(m)
-            ranks[k] = sum(cell_ranks[n, k] for n in split)
+                pos[d] = (i, cell_dims.get(cell, 0))
+                cell_dims[cell] = pos[d][1] + 1
+        matrices = {}       # degree -> {(row, col): coefficient}
+        cells = {}          # (nullity, degree) -> RationalMatrix
+        for k in range(min(blocks), max(blocks) + 1):
+            entries = matrices[k] = {}
+            for diag in blocks.get(k, ()):
+                n = diag.nullity
+                col, cell_col = pos[diag]
+                for d2, c in self.differential_diagram(diag).coeffs.items():
+                    assert (d2 in pos and d2.degree == k + 1
+                            and d2.grading == grading and d2.nullity == n)
+                    row, cell_row = pos[d2]
+                    entries[row, col] = c
+                    m = cells.get((n, k))
+                    if m is None:
+                        m = cells[n, k] = RationalMatrix(cell_dims[n, k + 1],
+                                                         cell_dims[n, k])
+                    m.set(cell_row, cell_col, c)
+        cell_ranks = {cell: matrix_rank(m) for cell, m in cells.items()}
+        ranks = dict.fromkeys(matrices, 0)
+        for (_, k), r in cell_ranks.items():
+            ranks[k] += r
+        dims = {deg: len(ds) for deg, ds in blocks.items()}
         betti = betti_from_ranks(dims, ranks)
         cell_betti = {}
         for n in {n for n, _ in cell_dims}:
@@ -609,7 +551,7 @@ class DiagramAlgebra:
                 {d: v for (m, d), v in cell_dims.items() if m == n},
                 {d: v for (m, d), v in cell_ranks.items() if m == n})
             cell_betti.update(((n, d), v) for d, v in per_degree.items())
-        return CohomologyBlock(grading, bounds, dims, ranks, betti, healed,
+        return CohomologyBlock(grading, bounds, dims, ranks, betti, 0,
                                matrices, grading_rank, cell_betti)
 
 
@@ -668,7 +610,7 @@ class CohomologyBlock:
     dims: dict
     ranks: dict
     betti: dict
-    healed: int
+    healed: int          # always 0; md cohomology --json and bench read it
     matrices: dict
     grading_rank: int
     cell_betti: dict     # (nullity, degree) -> Betti number
@@ -723,19 +665,19 @@ def contractible_atoms(diag: Diagram, base: GeometricLattice):
             for k in alg.contractible_positions(diag)]
 
 
-def differential(base: GeometricLattice, vec) -> DiagramVector:
+def differential(base: GeometricLattice, vec) -> Combination:
     alg = algebra_for(base)
     if isinstance(vec, Diagram):
-        vec = DiagramVector(alg).add_term(1, vec)
+        vec = Combination().add_term(1, vec)
     return alg.differential(vec)
 
 
-def product(base: GeometricLattice, d1, d2) -> DiagramVector:
+def product(base: GeometricLattice, d1, d2) -> Combination:
     alg = algebra_for(base)
     if isinstance(d1, Diagram):
-        d1 = DiagramVector(alg).add_term(1, d1)
+        d1 = Combination().add_term(1, d1)
     if isinstance(d2, Diagram):
-        d2 = DiagramVector(alg).add_term(1, d2)
+        d2 = Combination().add_term(1, d2)
     return alg.product_vectors(d1, d2)
 
 
@@ -743,7 +685,7 @@ def I_morphism(base: GeometricLattice, diag_or_vec) -> OSElement:
     return algebra_for(base).to_os(diag_or_vec)
 
 
-def coproduct(base: GeometricLattice, diag: Diagram, flat: int) -> TensorVector:
+def coproduct(base: GeometricLattice, diag: Diagram, flat: int) -> Combination:
     return algebra_for(base).coproduct(diag, flat)
 
 

@@ -10,8 +10,7 @@ from dataclasses import dataclass, field
 
 from . import corpus
 from .diagrams import (
-    DiagramVector,
-    TensorVector,
+    Combination,
     ZERO,
     algebra_for,
     determining_bounds,
@@ -188,25 +187,25 @@ def _pairs(items, limit, rng):
             yield rng.choice(items), rng.choice(items)
 
 
-def _tensor_differential(tensor: TensorVector, low_alg, up_alg) -> TensorVector:
-    out = TensorVector()
+def _tensor_differential(tensor: Combination, low_alg, up_alg) -> Combination:
+    out = Combination()
     for (lo, hidiag), c in tensor.coeffs.items():
         for d2, c2 in low_alg.differential_diagram(lo).coeffs.items():
-            out.add_term(c * c2, d2, hidiag)
+            out.add_term(c * c2, (d2, hidiag))
         sign = (-1) ** lo.degree
         for d2, c2 in up_alg.differential_diagram(hidiag).coeffs.items():
-            out.add_term(c * c2 * sign, lo, d2)
+            out.add_term(c * c2 * sign, (lo, d2))
     return out
 
 
-def _tensor_product(t1: TensorVector, t2: TensorVector, low_alg, up_alg):
-    out = TensorVector()
+def _tensor_product(t1: Combination, t2: Combination, low_alg, up_alg):
+    out = Combination()
     for (a1, b1), c1 in t1.coeffs.items():
         for (a2, b2), c2 in t2.coeffs.items():
             koszul = (-1) ** (b1.degree * a2.degree)
             for al, cl in low_alg.product(a1, a2).coeffs.items():
                 for bu, cu in up_alg.product(b1, b2).coeffs.items():
-                    out.add_term(c1 * c2 * cl * cu * koszul, al, bu)
+                    out.add_term(c1 * c2 * cl * cu * koszul, (al, bu))
     return out
 
 
@@ -255,8 +254,8 @@ def run_axiom_suite(lat: GeometricLattice, max_new_atoms=3, max_extra_rank=2,
             n_pairs += 1
             prod = alg.product(a, b)
             lhs = alg.differential(prod)
-            va = DiagramVector(alg).add_term(1, a)
-            vb = DiagramVector(alg).add_term(1, b)
+            va = Combination().add_term(1, a)
+            vb = Combination().add_term(1, b)
             rhs = alg.product_vectors(alg.differential_diagram(a), vb) + \
                 alg.product_vectors(va, alg.differential_diagram(b)).scale(
                     (-1) ** a.degree)
@@ -289,30 +288,28 @@ def run_axiom_suite(lat: GeometricLattice, max_new_atoms=3, max_extra_rank=2,
             checked += 1
             cop = alg.coproduct(d, f)
             lhs = _tensor_differential(cop, low_alg, up_alg)
-            rhs = TensorVector()
+            rhs = Combination()
             for d2, c in alg.differential_diagram(d).coeffs.items():
                 for key, c2 in alg.coproduct(d2, f).coeffs.items():
-                    rhs.add_term(c * c2, *key)
+                    rhs.add_term(c * c2, key)
             if lhs != rhs:
                 bad_chain += 1
             os_side, low2, up2 = os_coproduct(alg.to_os(d), f)
-            md_side = {}
+            md_side = Combination()
             for (lo, hidiag), c in cop.coeffs.items():
                 l_os = low_alg.to_os(lo)
                 u_os = up_alg.to_os(hidiag)
                 for m1, c1 in l_os.coeffs:
                     for m2, c2 in u_os.coeffs:
-                        key = (m1, m2)
-                        md_side[key] = md_side.get(key, 0) + c * c1 * c2
-            md_side = {k: v for k, v in md_side.items() if v}
-            if md_side != os_side:
+                        md_side.add_term(c * c1 * c2, (m1, m2))
+            if md_side.coeffs != os_side:
                 bad_coop += 1
         for a in sample_diags[: max(1, len(sample_diags) // 4)]:
             for b in sample_diags[: max(1, len(sample_diags) // 4)]:
-                lhs = TensorVector()
+                lhs = Combination()
                 for d2, c in alg.product(a, b).coeffs.items():
                     for key, c2 in alg.coproduct(d2, f).coeffs.items():
-                        lhs.add_term(c * c2, *key)
+                        lhs.add_term(c * c2, key)
                 rhs = _tensor_product(alg.coproduct(a, f),
                                       alg.coproduct(b, f), low_alg, up_alg)
                 if lhs != rhs:
@@ -336,20 +333,16 @@ def run_axiom_suite(lat: GeometricLattice, max_new_atoms=3, max_extra_rank=2,
         f1_in_low2 = low2_from[f1]
         f2_in_up1 = up1_from[f2]
         for d in sample_diags[: max(1, len(sample_diags) // 3)]:
-            lhs = {}
+            lhs = Combination()
             for (lo, hidiag), c in alg.coproduct(d, f2).coeffs.items():
                 for (a, b), c2 in mid_alg_base.coproduct(lo, f1_in_low2) \
                         .coeffs.items():
-                    key = (a, b, hidiag)
-                    lhs[key] = lhs.get(key, 0) + c * c2
-            rhs = {}
+                    lhs.add_term(c * c2, (a, b, hidiag))
+            rhs = Combination()
             for (lo, hidiag), c in alg.coproduct(d, f1).coeffs.items():
                 for (a, b), c2 in up_alg1.coproduct(hidiag, f2_in_up1) \
                         .coeffs.items():
-                    key = (lo, a, b)
-                    rhs[key] = rhs.get(key, 0) + c * c2
-            lhs = {k: v for k, v in lhs.items() if v}
-            rhs = {k: v for k, v in rhs.items() if v}
+                    rhs.add_term(c * c2, (lo, a, b))
             if lhs != rhs:
                 bad_coassoc += 1
     rep.add("coproduct-coassociative", "PASS" if bad_coassoc == 0 else "FAIL",
@@ -392,8 +385,7 @@ def _refactors(alg, diag) -> bool:
                 break
     vec = None
     for p in base_word:
-        term = DiagramVector(alg).add_term(
-            1, alg.atom_diagram(alg.base.atoms[p]))
+        term = Combination().add_term(1, alg.atom_diagram(alg.base.atoms[p]))
         vec = term if vec is None else alg.product_vectors(vec, term)
     for k in sorted(factor_of_new):
         word = factor_of_new[k]
@@ -405,11 +397,11 @@ def _refactors(alg, diag) -> bool:
                                     tuple(back[p] for p in word))
         if dfac is ZERO:
             return False
-        term = DiagramVector(alg).add_term(s, dfac)
+        term = Combination().add_term(s, dfac)
         vec = term if vec is None else alg.product_vectors(vec, term)
     if vec is None:
         return len(diag.word) == 0
-    target = DiagramVector(alg).add_term(1, diag)
+    target = Combination().add_term(1, diag)
     return vec == target or vec == target.scale(-1)
 
 

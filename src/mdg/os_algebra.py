@@ -1,6 +1,6 @@
 """The Orlik-Solomon algebra of a geometric lattice.
 
-Elements are rational combinations of monomials avoiding broken circuits
+Elements are integer combinations of monomials avoiding broken circuits
 (a broken circuit is a circuit minus its least atom in the lattice's atom
 order).  Words reduce to this basis by straightening along circuit
 boundaries; sign conventions order circuit products increasingly.
@@ -9,7 +9,6 @@ boundaries; sign conventions order circuit products increasingly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ForeignFlat, ImproperFlat, LatticeMismatch, SpecParse
 from .lattice import (GeometricLattice, _atoms_mask, _mask_atoms, _merge_sign,
@@ -87,15 +86,14 @@ def os_context(lat: GeometricLattice) -> OSContext:
 
 @dataclass(frozen=True)
 class OSElement:
-    """Rational combination of nbc monomials over a fixed lattice."""
+    """Integer combination of nbc monomials over a fixed lattice."""
 
     lattice: GeometricLattice
-    coeffs: tuple  # sorted tuple of (mask, Fraction)
+    coeffs: tuple  # sorted tuple of (mask, int)
 
     @classmethod
     def from_dict(cls, lat, d):
-        items = tuple(sorted((m, Fraction(c)) for m, c in d.items() if c))
-        return cls(lat, items)
+        return cls(lat, tuple(sorted((m, c) for m, c in d.items() if c)))
 
     @classmethod
     def zero(cls, lat):
@@ -125,7 +123,7 @@ class OSElement:
 
     def scale(self, c):
         return OSElement.from_dict(self.lattice,
-                                   {m: Fraction(c) * v for m, v in self.coeffs})
+                                   {m: c * v for m, v in self.coeffs})
 
     def monomials(self):
         """Human-readable view: list of (atom-label tuple, coefficient)."""
@@ -219,13 +217,13 @@ def koszul_series_check(lat: GeometricLattice, order: int):
     if order > 20:
         raise SpecParse("series order capped at 20")
     hilb = hilbert_series(lat)
-    h = [Fraction((-1) ** i * hilb[i]) if i < len(hilb) else Fraction(0)
+    h = [(-1) ** i * hilb[i] if i < len(hilb) else 0
          for i in range(order + 1)]
-    a = [Fraction(1)]
+    a = [1]   # h[0] = 1, so the inverse has integer coefficients
     for k in range(1, order + 1):
         a.append(-sum(h[j] * a[k - j] for j in range(1, k + 1)))
     fail = next((i for i, v in enumerate(a) if v < 0), None)
-    return fail is None, [int(v) if v.denominator == 1 else v for v in a], fail
+    return fail is None, a, fail
 
 
 def os_coproduct(elem: OSElement, flat: int):

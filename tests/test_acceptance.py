@@ -22,7 +22,7 @@ from mdg.corpus import (
     path_graph_edges,
     seven_point_plane,
 )
-from mdg.diagrams import DiagramVector, algebra_for
+from mdg.diagrams import Combination, algebra_for
 from mdg.extensions import (
     ModularExtension,
     identity_extension,
@@ -122,7 +122,7 @@ def test_criterion_2_trident_differential():
 
     def ident(word, c=1):
         s2, d2 = alg.normalize(identity_extension(pi3), word)
-        return DiagramVector(alg).add_term(s2, d2, c)
+        return Combination().add_term(s2 * c, d2)
 
     expected = ident(["1-2", "1-3"]) + ident(["1-2", "2-3"], -1) + \
         ident(["1-3", "2-3"])
@@ -136,7 +136,7 @@ def test_criterion_2_trident_differential():
 
     def identl(word, c=1):
         s2, d2 = lalg.normalize(identity_extension(line), word)
-        return DiagramVector(lalg).add_term(s2, d2, c)
+        return Combination().add_term(s2 * c, d2)
 
     expected2 = identl(["b", "c"]) + identl(["b", "a"], -1) + \
         identl(["c", "a"])

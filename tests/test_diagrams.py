@@ -4,8 +4,8 @@ import pytest
 
 from conftest import grading_extension_lattice, perm_parity
 from mdg.diagrams import (
+    Combination,
     DiagramAlgebra,
-    DiagramVector,
     ZERO,
     algebra_for,
     cohomology,
@@ -24,6 +24,7 @@ from mdg.lattice import (
     interval_at,
     restriction,
 )
+from mdg.os_algebra import koszul_series_check, multiply, reduce_to_nbc
 
 
 def trident_setup(pi3, pi4):
@@ -35,7 +36,7 @@ def trident_setup(pi3, pi4):
 
 def ident_vec(alg, word, coeff=1):
     s, d = alg.normalize(identity_extension(alg.base), word)
-    return DiagramVector(alg).add_term(s, d, coeff)
+    return Combination().add_term(s * coeff, d)
 
 
 def test_normalize_trident(pi3, pi4):
@@ -154,7 +155,7 @@ def test_leibniz_trident(pi3, pi4):
     alg, ext = trident_setup(pi3, pi4)
     _, tri = alg.normalize(ext, ["1-4", "2-4", "3-4"])
     a = alg.atom_diagram("1-2")
-    va = DiagramVector(alg).add_term(1, a)
+    va = Combination().add_term(1, a)
     lhs = alg.differential(alg.product(tri, a))
     rhs = alg.product_vectors(alg.differential_diagram(tri), va)
     # d(a) = 0, so the Koszul term vanishes
@@ -365,7 +366,7 @@ def test_mutating_a_result_leaves_the_kept_map_intact(pi4):
             (lambda: alg.differential_diagram(d), lambda v: v.add_term(1, d)),
             (lambda: alg.product(a, b), lambda v: v.add_term(1, a)),
             (lambda: alg.coproduct(d, f),
-             lambda v: v.add_term(1, *next(iter(cop.coeffs))))):
+             lambda v: v.add_term(1, next(iter(cop.coeffs))))):
         want = call()
         got = call()
         mutate(got)
@@ -465,6 +466,41 @@ def test_cohomology_euler_characteristic(pi3):
         blk = alg.cohomology_block(pi3.top, (ba, 2))
         chi = sum((-1) ** k * v for k, v in blk.dims.items())
         assert chi == target
+
+
+def test_coefficients_are_integers(pi4, c4):
+    # every coefficient of the complex and of the OS algebra is a sum of
+    # signs, kept as an int
+    alg = algebra_for(pi4)
+    diags = [d for ds in alg.diagrams_within((3, 2)).values() for d in ds]
+    proper = [f for f in range(pi4.n_flats)
+              if f not in (pi4.bottom, pi4.top)]
+    combos = [alg.differential_diagram(d) for d in diags]
+    combos += [alg.product(a, b) for a in diags[::5] for b in diags[::7]]
+    combos += [alg.coproduct(d, f) for d in diags for f in proper]
+    coeffs = [c for v in combos for c in v.coeffs.values()]
+    x = reduce_to_nbc(pi4, ["2-3", "1-3"])
+    y = reduce_to_nbc(pi4, ["3-4", "1-2", "2-4"])
+    elems = [x, y, multiply(x, reduce_to_nbc(pi4, ["1-4"]))]
+    elems += [alg.to_os(d) for d in diags]
+    coeffs += [c for e in elems for _, c in e.coeffs]
+    coeffs += koszul_series_check(c4, 8)[1]
+    assert len(coeffs) > 1000
+    assert {type(c) for c in coeffs} == {int}
+
+
+def test_target_outside_the_basis_is_an_error(pi3):
+    # the bounded basis is closed under the differential, so a target
+    # missing from it is a defect, not a row to append
+    alg = DiagramAlgebra(pi3)
+    blocks = alg.diagrams_within((3, 2))
+    reached = next(d2 for (g, _), ds in blocks.items() if g == pi3.top
+                   for d in ds for d2 in alg.differential_diagram(d).coeffs)
+    cell = (reached.grading, reached.degree)
+    alg._diagram_blocks[(3, 2)][cell] = [d for d in blocks[cell]
+                                         if d != reached]
+    with pytest.raises(AssertionError):
+        alg.cohomology_block(pi3.top, (3, 2))
 
 
 def test_differential_preserves_nullity(pi3):
@@ -577,17 +613,6 @@ def test_normalize_with_relabeled_base(pi3, pi4):
     s2, d2 = alg.normalize(ModularExtension.build(emb2),
                            ["1-4", "2-4", "3-4"])
     assert d1 == d2 and s1 == s2
-
-
-def test_vector_blocks(pi3):
-    alg = algebra_for(pi3)
-    v = DiagramVector(alg)
-    v.add_term(1, alg.unit())
-    v.add_term(2, alg.atom_diagram("1-2"))
-    blocks = v.blocks()
-    assert set(blocks) == {(pi3.bottom, 0),
-                           (pi3.flat_of_atoms(["1-2"]), 1)}
-    assert sum(len(b.coeffs) for b in blocks.values()) == 2
 
 
 def test_normalize_sign_coherence_random(pi3):

@@ -252,15 +252,18 @@ def test_cli_input_errors(tmp_path):
     assert code == 2
     code, _ = run_cli("os", "reduce", "--lattice", "pi3", "zz")
     assert code == 2
-    # negative or non-numeric counts are usage errors, which argparse
-    # reports by exiting with 2
+    # negative or non-numeric counts, and timeouts that are not a finite,
+    # positive number of seconds, are usage errors, which argparse reports
+    # by exiting with 2
     for argv in (["verify-qiso", "--lattice", "pi3", "--max-atoms", "-1"],
                  ["md", "basis", "--lattice", "pi3", "--degree", "1",
                   "--max-rank", "-1"],
                  ["extensions", "enumerate", "--lattice", "pi3",
                   "--max-atoms", "x"],
                  ["os", "koszul-series", "--lattice", "pi3", "--order",
-                  "-1"]):
+                  "-1"],
+                 *(["verify-qiso", "--lattice", "pi3", "--timeout", t]
+                   for t in ("nan", "inf", "-1", "0"))):
         with pytest.raises(SystemExit) as exc:
             run_cli(*argv)
         assert exc.value.code == 2, argv
