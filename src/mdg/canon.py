@@ -82,14 +82,16 @@ def _cells(colors):
 
 
 def _orbits(children, gens):
-    """Union of the orbits of the children (tuples of atoms, acted on
-    atom by atom) under the group the generators generate."""
+    """Union of the orbits of the children under the group the generators
+    generate.  A child is a tuple or frozenset of points (atoms here, flats
+    for the catalog's cuts), acted on point by point; a generator maps
+    point i to g[i]."""
     out = set(children)
     stack = list(out)
     while stack:
         child = stack.pop()
         for g in gens:
-            image = tuple(g[a] for a in child)
+            image = type(child)(g[a] for a in child)
             if image not in out:
                 out.add(image)
                 stack.append(image)

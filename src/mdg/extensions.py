@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .canon import canonical_form
+from .canon import _orbits, canonical_form
 from .errors import (
     DegenerateCut,
     InvalidExtension,
@@ -325,7 +325,10 @@ class CatalogEntry:
         self.certificate = certificate
         self.top = top
         self.automorphisms = automorphisms
-        # an automorphism fixes the base prefix and permutes the new atoms
+        # an automorphism fixes the base prefix and permutes the new atoms;
+        # the catalog's cut-orbit pruning relies on the first half
+        fixed = tuple(range(n_base))
+        assert all(a[:n_base] == fixed for a in automorphisms)
         self.has_odd_aut = any(_word_sign(a[n_base:])[1] < 0
                                for a in automorphisms)
         self.atom_flats = tuple(lat.flat_index[1 << i]
@@ -342,12 +345,19 @@ class CatalogEntry:
 
 def _canonical_entry(lat, base, level, extra_rank, fixed_labels=None):
     """Relabel an extension lattice so the base prefix is fixed and the new
-    atoms are in canonical order, named e1, e2, ... (skipping used labels).
+    atoms are in canonical order; returns the entry and the relabeling.
 
     ``fixed_labels`` names the images of the base atoms inside ``lat`` in
     base order; by default the base atom labels themselves.
     """
     cf = canonical_form(lat, fixed_atoms=fixed_labels or base.atoms)
+    return _entry_of_form(lat, base, level, extra_rank, cf), cf.perm
+
+
+def _entry_of_form(lat, base, level, extra_rank, cf):
+    """The catalog entry of ``lat`` relabeled by its canonical form ``cf``:
+    the base prefix is fixed and the new atoms, in canonical order, are
+    named e1, e2, ... (skipping used labels)."""
     perm = cf.perm
     n = lat.n_atoms
     inv = [0] * n
@@ -372,9 +382,8 @@ def _canonical_entry(lat, base, level, extra_rank, fixed_labels=None):
     auts = tuple(tuple(perm[a[inv[i]]] for i in range(n))
                  for a in cf.automorphisms)
     top = canon_lat.closure((1 << base.n_atoms) - 1)
-    entry = CatalogEntry(canon_lat, base.n_atoms, level, extra_rank,
-                         cf.certificate, top, auts)
-    return entry, perm
+    return CatalogEntry(canon_lat, base.n_atoms, level, extra_rank,
+                        cf.certificate, top, auts)
 
 
 def _valid_cuts(entry: CatalogEntry):
@@ -508,10 +517,14 @@ def catalog(base: GeometricLattice, max_new_atoms: int, max_extra_rank: int):
     deduplicated, ordered by (new-atom count, certificate).
 
     The levels (one per new-atom count) are kept on ``base`` per extra-rank
-    bound, so a larger atom bound extends the levels already built.
+    bound, so a larger atom bound extends the levels already built.  Each
+    level canonicalizes one cut per orbit of its parent's automorphisms
+    (see ``_next_level``).  Negative bounds raise ``ValueError``.
     """
     if base.is_trivial:
         raise NotGeometric("extensions of the one-point lattice are not defined")
+    if max_new_atoms < 0 or max_extra_rank < 0:
+        raise ValueError("catalog bounds must be nonnegative")
     levels = base._catalogs.get(max_extra_rank)
     if levels is None:
         root, _ = _canonical_entry(base, base, 0, 0)
@@ -524,21 +537,41 @@ def catalog(base: GeometricLattice, max_new_atoms: int, max_extra_rank: int):
 
 def _next_level(base, entries, level, max_extra_rank):
     """The canonical children of ``entries`` with one more atom, sorted by
-    certificate."""
+    certificate.
+
+    Each parent's cuts are walked in order, the coloop's empty cut first,
+    and only the first cut of each orbit under the parent's automorphisms
+    is canonicalized.  Those automorphisms fix the base prefix pointwise,
+    so an automorphism mapping one cut onto another extends, with the new
+    atom fixed, to an isomorphism of the two children fixing the base:
+    they share a certificate.  The first cut to reach a certificate is
+    never skipped, so every entry, generators included, is the one an
+    unpruned walk keeps.  An entry is built only for a new certificate.
+    """
     nxt = {}
     for entry in entries:
-        children = _valid_cuts(entry)
+        lat = entry.lat
+        # each automorphism as a map on flat indices
+        flat_auts = [tuple(lat.flat_index[m]
+                           for m in _move_masks(lat.flat_masks, a))
+                     for a in entry.automorphisms]
+        cuts = _valid_cuts(entry)
         if entry.extra_rank < max_extra_rank:
-            children = itertools.chain((frozenset(),), children)
-        for members in children:
+            cuts = itertools.chain((frozenset(),), cuts)
+        seen = set()
+        for members in cuts:
+            if members in seen:
+                continue
+            seen |= _orbits([members], flat_auts)
             # _valid_cuts yields modular cuts only, so the cut is built
             # without modular_cut's check; the empty cut adds a coloop,
             # which raises the rank by one
             child, _ = single_element_extension(
-                entry.lat, ModularCut(entry.lat, members), "@new")
-            cand, _ = _canonical_entry(child, base, level,
-                                       entry.extra_rank + (not members))
-            nxt.setdefault(cand.certificate, cand)
+                lat, ModularCut(lat, members), "@new")
+            cf = canonical_form(child, fixed_atoms=base.atoms)
+            if cf.certificate not in nxt:
+                nxt[cf.certificate] = _entry_of_form(
+                    child, base, level, entry.extra_rank + (not members), cf)
     return [nxt[c] for c in sorted(nxt)]
 
 

@@ -10,8 +10,11 @@ from mdg.corpus import build_corpus_lattice, seven_point_plane
 from mdg.diagrams import ZERO, algebra_for
 from mdg.errors import DegenerateCut, MismatchedBase, NotAModularCut, \
     NotGeometric, NotModularCoatom
+import mdg.extensions
 from mdg.extensions import (
+    _canonical_entry,
     _valid_cuts,
+    CatalogEntry,
     ModularCut,
     ModularExtension,
     catalog,
@@ -452,6 +455,85 @@ def test_valid_cuts_include_cuts_needing_four_generators(pi3):
                 assert len(members) == 5 and lat.top in members
                 assert members - {lat.top} <= hyps
     assert len(found) == 6
+
+
+def _unpruned_catalog(base, max_new_atoms, max_extra_rank):
+    """The catalog without cut-orbit pruning: every cut of every parent, in
+    order, is canonicalized, and the first entry per certificate is kept."""
+    levels = [[_canonical_entry(base, base, 0, 0)[0]]]
+    for level in range(1, max_new_atoms + 1):
+        nxt = {}
+        for entry in levels[-1]:
+            cuts = list(_valid_cuts(entry))
+            if entry.extra_rank < max_extra_rank:
+                cuts.insert(0, frozenset())
+            for members in cuts:
+                child, _ = single_element_extension(
+                    entry.lat, ModularCut(entry.lat, members), "@new")
+                cand, _ = _canonical_entry(child, base, level,
+                                           entry.extra_rank + (not members))
+                nxt.setdefault(cand.certificate, cand)
+        levels.append([nxt[c] for c in sorted(nxt)])
+    return [e for lvl in levels for e in lvl]
+
+
+def _entry_fields(e):
+    return (e.certificate, e.lat.atoms, e.lat.flat_masks, e.top, e.level,
+            e.extra_rank, e.automorphisms, e.has_odd_aut)
+
+
+def _count_canonical_forms(monkeypatch):
+    calls = [0]
+    real = mdg.extensions.canonical_form
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mdg.extensions, "canonical_form", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name,bounds", [("pi4", (4, 2)), ("plane8", (3, 2)),
+                                         ("pi5", (4, 1))],
+                         ids=["pi4", "plane8", "pi5"])
+def test_catalog_matches_the_unpruned_levels(monkeypatch, name, bounds):
+    # one cut per orbit of the parent's automorphisms is canonicalized, yet
+    # every entry, generators included, is the one the unpruned walk keeps
+    calls = _count_canonical_forms(monkeypatch)
+    want = _unpruned_catalog(build_corpus_lattice(name), *bounds)
+    unpruned_calls, calls[0] = calls[0], 0
+    got = catalog(build_corpus_lattice(name), *bounds)
+    assert [_entry_fields(e) for e in got] == \
+        [_entry_fields(e) for e in want]
+    assert calls[0] < unpruned_calls
+
+
+def test_catalog_canonicalizes_one_cut_per_orbit(monkeypatch):
+    # 334 cuts of pi4's catalog fall into 190 orbits; 353 canonical forms
+    # without the pruning
+    calls = _count_canonical_forms(monkeypatch)
+    catalog(build_corpus_lattice("pi4"), 4, 2)
+    assert calls[0] == 209
+
+
+def test_catalog_rejects_negative_bounds():
+    # a negative atom bound once sliced the kept levels from the end
+    pi3 = build_corpus_lattice("pi3")
+    for warm in (False, True):
+        if warm:
+            catalog(pi3, 3, 2)
+        for bounds in ((-2, 2), (-1, 2), (2, -1)):
+            with pytest.raises(ValueError):
+                catalog(pi3, *bounds)
+
+
+def test_catalog_entry_automorphisms_fix_the_base(pi3):
+    entry = catalog(pi3, 1, 1)[-1]
+    moves_base = (1, 0) + tuple(range(2, entry.lat.n_atoms))
+    with pytest.raises(AssertionError):
+        CatalogEntry(entry.lat, entry.n_base, entry.level, entry.extra_rank,
+                     entry.certificate, entry.top, (moves_base,))
 
 
 def test_enumerate_u_line_family(pi2):
