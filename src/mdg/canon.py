@@ -1,10 +1,12 @@
 """Canonical relabeling of geometric lattices with optional pinned atoms.
 
 Two lattices are isomorphic fixing the pinned atoms pointwise (by list
-position) iff their certificates are equal.  The engine runs color
-refinement on the atom/flat incidence structure and then searches the
-remaining color cells depth first, keeping the lexicographically least
-certificate and the first leaf that reaches it.
+position) iff their certificates are equal.  The engine refines the
+colors on the atom/flat incidence structure until they are equitable and
+then searches the remaining color cells depth first, keeping the
+lexicographically least certificate and the first leaf that reaches it.
+Refinement stops at a discrete coloring or after a round that splits no
+cell: neither can change in a further round.
 
 Leaves whose certificate equals the first leaf's or the best leaf's give
 automorphisms, and these prune the search as in nauty (McKay and Piperno,
@@ -22,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import ForeignFlat
-from .lattice import GeometricLattice, _mask_atoms, _move_masks
+from .lattice import GeometricLattice, _mask_atoms
 
 
 @dataclass(frozen=True)
@@ -54,9 +56,15 @@ def _incidence(lat: GeometricLattice):
 
 
 def _refine(incidence, colors):
-    """Iterated color refinement over the atom/flat incidence bigraph."""
-    flats, atom_flats = incidence
-    while True:
+    """Iterated color refinement over the atom/flat incidence bigraph, to
+    the coarsest equitable coloring finer than ``colors``, numbered 0..k-1.
+    A round's colors sort by the old color first, so a round only splits
+    cells: a discrete coloring is final once renumbered, and after a round
+    that splits no cell, which renumbers in order, the next would repeat it.
+    """
+    n_cells = len(set(colors))
+    while n_cells < len(colors):
+        flats, atom_flats = incidence
         sigs = [(r, tuple(sorted([colors[i] for i in atoms])))
                 for r, atoms in flats]
         # ids must follow the canonical order of the signatures themselves,
@@ -65,13 +73,13 @@ def _refine(incidence, colors):
         flat_sig_ids = [sig_order[s] for s in sigs]
         atom_sigs = [(c, tuple(sorted([flat_sig_ids[f] for f in fs])))
                      for c, fs in zip(colors, atom_flats)]
-        new_ids = {}
-        for sig in sorted(set(atom_sigs)):
-            new_ids[sig] = len(new_ids)
+        new_ids = {s: k for k, s in enumerate(sorted(set(atom_sigs)))}
         new_colors = tuple(new_ids[s] for s in atom_sigs)
-        if new_colors == colors:
-            return colors
-        colors = new_colors
+        if len(new_ids) == n_cells:
+            return new_colors
+        colors, n_cells = new_colors, len(new_ids)
+    rank = {c: k for k, c in enumerate(sorted(colors))}
+    return tuple(rank[c] for c in colors)
 
 
 def _cells(colors):
@@ -163,7 +171,7 @@ class _Search:
         self.frames.pop()
 
     def leaf(self, perm):
-        cert = _certificate_bytes(self.lat, perm)
+        cert = _certificate_bytes(self.lat, self.incidence[0], perm)
         if self.first is None:
             self.first = self.best = (cert, perm)
             return
@@ -201,8 +209,10 @@ class _Search:
                 return
 
 
-def _certificate_bytes(lat, perm):
-    masks = sorted(_move_masks(lat.flat_masks, perm))
+def _certificate_bytes(lat, flats, perm):
+    """Certificate with atom i at perm[i]; flats as _incidence lists them."""
+    bits = [1 << p for p in perm]
+    masks = sorted(sum([bits[i] for i in atoms]) for _, atoms in flats)
     head = (lat.n_atoms, lat.rank)
     body = ",".join(format(m, "x") for m in masks)
     return repr(head).encode() + b"|" + body.encode()

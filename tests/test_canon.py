@@ -16,6 +16,7 @@ import time
 import pytest
 
 from conftest import brute_automorphism_count, flats_of, group_closure
+from mdg import canon
 from mdg.canon import canonical_form
 from mdg.corpus import (
     build_corpus_lattice,
@@ -120,6 +121,73 @@ def digest(family):
 @pytest.mark.parametrize("family", list(FAMILIES))
 def test_canonical_forms_golden(family):
     assert digest(family) == GOLDEN[family]
+
+
+# ----------------------------------------------------------------------
+# color refinement against the loop that runs until a round repeats
+
+
+def _reference_refine(incidence, colors):
+    """Refinement rounds until one reproduces its input colors exactly."""
+    flats, atom_flats = incidence
+    while True:
+        sigs = [(r, tuple(sorted([colors[i] for i in atoms])))
+                for r, atoms in flats]
+        sig_order = {s: k for k, s in enumerate(sorted(set(sigs)))}
+        flat_sig_ids = [sig_order[s] for s in sigs]
+        atom_sigs = [(c, tuple(sorted([flat_sig_ids[f] for f in fs])))
+                     for c, fs in zip(colors, atom_flats)]
+        new_ids = {s: k for k, s in enumerate(sorted(set(atom_sigs)))}
+        new_colors = tuple(new_ids[s] for s in atom_sigs)
+        if new_colors == colors:
+            return colors
+        colors = new_colors
+
+
+def test_refine_matches_the_reference_on_every_search_call(pi4, monkeypatch):
+    entries = catalog(pi4, 4, 2)
+    calls = []
+    refine = canon._refine
+
+    def recording(incidence, colors):
+        out = refine(incidence, colors)
+        calls.append((incidence, colors, out))
+        return out
+
+    monkeypatch.setattr(canon, "_refine", recording)
+    for entry in entries:
+        canonical_form(entry.lat, pi4.atoms)
+        canonical_form(entry.lat)
+    for edges in SWEEP_GRAPHS.values():
+        canonical_form(build_from_graph(edges))
+    # the search also refines inputs that are discrete and not consecutive
+    assert any(len(set(c)) == len(c) and max(c) >= len(c)
+               for _, c, _ in calls)
+    for incidence, colors, out in calls:
+        assert out == _reference_refine(incidence, colors), colors
+
+
+def test_refine_renumbers_a_discrete_coloring_without_the_incidence():
+    assert canon._refine(None, (5, 0, 2)) == (2, 0, 1)
+    assert canon._refine(None, ()) == ()
+
+
+def test_refine_after_individualizing_a_whole_cell():
+    lat = build_from_graph(SWEEP_GRAPHS["house+diagonal"])
+    incidence = canon._incidence(lat)
+    root = canon._refine(incidence, (0,) * lat.n_atoms)
+    cell = min((c for c in canon._cells(root) if len(c) > 1), key=len)
+    colors = list(root)
+    for k, atom in enumerate(cell):
+        colors[atom] = max(root) + 1 + k
+    colors = tuple(colors)
+    # colors skip the emptied cell's number, and a cell of several atoms
+    # remains
+    assert sorted(set(colors)) != list(range(len(set(colors))))
+    assert len(set(colors)) < len(colors)
+    out = canon._refine(incidence, colors)
+    assert out == _reference_refine(incidence, colors)
+    assert sorted(set(out)) == list(range(len(set(out))))
 
 
 # ----------------------------------------------------------------------

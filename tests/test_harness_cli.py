@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -103,6 +104,23 @@ def test_verify_qiso_c4_not_asserted(c4):
     assert final["status"] == "INFO"
     assert rep.tables["hilbert"] == [1, 4, 6, 3]
     assert rep.passed  # nothing asserted, nothing failed
+
+
+def test_verify_qiso_timeout_ignores_wall_clock_steps(pi3, monkeypatch):
+    # a wall clock stepping a million seconds forward (an NTP correction)
+    # must neither fire the deadline nor change the report
+    expected = run_verify_qiso(pi3, 2, 1).to_dict(with_timings=False)
+    real_time = time.time
+    readings = []
+
+    def stepping_time():
+        readings.append(None)
+        return real_time() + (1e6 if len(readings) > 1 else 0.0)
+
+    monkeypatch.setattr(time, "time", stepping_time)
+    rep = run_verify_qiso(pi3, 2, 1, timeout=600)
+    assert rep.passed
+    assert rep.to_dict(with_timings=False) == expected
 
 
 def test_axiom_suite_passes(pi3, b3):
