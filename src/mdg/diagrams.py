@@ -191,7 +191,7 @@ class DiagramAlgebra:
         top_mask = lat.flat_masks[lat.closure(base_img)]
         above = (f for f, m in enumerate(lat.flat_masks)
                  if m & top_mask == top_mask)
-        if (_splits_off_base(lat, base_img)
+        if (_splits_off_base(lat, base_img, 0, lat.flat_masks[lat.top])
                 or _modular_flat_kills(lat, word_mask, above)):
             return 0, ZERO
         entry, perm = self._entry_for(lat, [lat.atoms[p] for p in atom_map])
@@ -358,7 +358,17 @@ class DiagramAlgebra:
         return Combination(terms)
 
     def _split(self, diag: Diagram, flat: int) -> Combination:
-        """The coproduct, computed afresh."""
+        """The coproduct, computed afresh.
+
+        Each flat f of the entry meeting the base in ``flat`` gives the pair
+        of diagrams on [0, f] and [f, top].  Their base images are the base
+        atoms in f and the covers of f that hold a base atom, so the factor
+        rule reads either interval off the entry's masks with the entry's
+        base mask: a flat with a dead interval is dropped before either is
+        built.  The upper factor goes first: its word usually repeats a
+        letter (two word atoms outside f in one cover of f), which spares
+        the lower interval and its normalization.
+        """
         base = self.base
         lowL, _, _, low_pos = interval_at(base, base.bottom, flat)
         upL, _, _, up_pos = interval_at(base, flat, base.top)
@@ -368,25 +378,17 @@ class DiagramAlgebra:
         low_reps = _first_atoms(low_pos, lowL.n_atoms)
         up_reps = _first_atoms(up_pos, upL.n_atoms)
         lat = diag.entry.lat
-        base_all = (1 << diag.entry.n_base) - 1
+        base_all = diag.entry.base_mask
+        full = lat.flat_masks[lat.top]
         f_mask = base.flat_masks[flat]
         out = Combination()
         word_mask = _atoms_mask(diag.word)
         for f, m in enumerate(lat.flat_masks):
-            if m & base_all != f_mask:
+            if (m & base_all != f_mask
+                    or _splits_off_base(lat, base_all, m, full)
+                    or _splits_off_base(lat, base_all, 0, m)):
                 continue
             in_mask, out_mask = word_mask & m, word_mask & ~m
-            inside = tuple(_mask_atoms(in_mask))
-            outside = tuple(_mask_atoms(out_mask))
-            eps = _merge_sign(in_mask, out_mask)
-
-            # lower factor: interval below f, base = interval below flat
-            sub_lo, _, _, pos = interval_at(lat, lat.bottom, f)
-            s_lo, d_lo = low_alg.normalize_raw(
-                sub_lo, tuple(pos[a] for a in low_reps),
-                tuple(pos[p] for p in inside))
-            if d_lo is ZERO:
-                continue
 
             # upper factor: interval above f, base = interval above flat.
             # f meets the base in flat, so a base atom outside flat lies
@@ -394,10 +396,19 @@ class DiagramAlgebra:
             sub_up, _, _, pos = interval_at(lat, f, lat.top)
             s_up, d_up = up_alg.normalize_raw(
                 sub_up, tuple(pos[a] for a in up_reps),
-                tuple(pos[p] for p in outside))
+                tuple(pos[p] for p in _mask_atoms(out_mask)))
             if d_up is ZERO:
                 continue
-            out.add_term(eps * s_lo * s_up, (d_lo, d_up))
+
+            # lower factor: interval below f, base = interval below flat
+            sub_lo, _, _, pos = interval_at(lat, lat.bottom, f)
+            s_lo, d_lo = low_alg.normalize_raw(
+                sub_lo, tuple(pos[a] for a in low_reps),
+                tuple(pos[p] for p in _mask_atoms(in_mask)))
+            if d_lo is ZERO:
+                continue
+            out.add_term(_merge_sign(in_mask, out_mask) * s_lo * s_up,
+                         (d_lo, d_up))
         return out
 
     # ------------------------------------------------------------------
@@ -471,7 +482,8 @@ class DiagramAlgebra:
             entry = self._register_entry(raw_entry)
             lat = entry.lat
             base_mask = entry.base_mask
-            if entry.has_odd_aut or _splits_off_base(lat, base_mask):
+            if entry.has_odd_aut or _splits_off_base(
+                    lat, base_mask, 0, lat.flat_masks[lat.top]):
                 continue
             new_mask = ((1 << lat.n_atoms) - 1) ^ base_mask
             top_mask = lat.flat_masks[entry.top]
@@ -555,10 +567,27 @@ class DiagramAlgebra:
                                matrices, grading_rank, cell_betti)
 
 
-def _splits_off_base(lat, base_mask):
-    """Whether a factor of ``lat`` misses the base image: every word over
-    it vanishes."""
-    return any(s & base_mask == 0 for s in lat.factor_supports())
+def _splits_off_base(lat, base_mask, lo, hi):
+    """Whether the nontrivial interval [lo, hi] of ``lat`` (flat masks) has
+    a factor whose atoms outside ``lo`` all miss ``base_mask``: every word
+    over the interval then vanishes.
+
+    Such a factor is a separator of the minor (M|hi)/lo (Oxley, *Matroid
+    Theory*, 2nd ed., 4.2): a nonempty set x of atoms outside lo and the
+    base with S = lo | x and T = hi & ~x (which holds lo) both flats and
+    r(S) + r(T) = r(lo) + r(hi).  S = hi is allowed: an interval without
+    base atoms is itself such a factor.
+    """
+    index, ranks = lat.flat_index, lat.ranks
+    total = ranks[index[lo]] + ranks[index[hi]]
+    free = hi & ~lo & ~base_mask
+    x = free
+    while x:
+        s, t = index.get(lo | x), index.get(hi & ~x)
+        if s is not None and t is not None and ranks[s] + ranks[t] == total:
+            return True
+        x = (x - 1) & free
+    return False
 
 
 def _modular_flat_kills(lat, word_mask, above):

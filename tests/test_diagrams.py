@@ -7,6 +7,8 @@ from mdg.diagrams import (
     Combination,
     DiagramAlgebra,
     ZERO,
+    _first_atoms,
+    _splits_off_base,
     algebra_for,
     cohomology,
     contractible_atoms,
@@ -383,6 +385,99 @@ def test_axiom_suite_same_with_cold_and_warm_maps(pi4):
     assert first.passed
     assert second.checks == first.checks
     assert second.tables == first.tables
+
+
+def _reference_split(alg, diag, flat):
+    # the coproduct without the factor pre-test: every flat f of the entry
+    # meeting the base in ``flat``, both intervals built, lower factor first
+    base = alg.base
+    lowL, _, _, low_pos = interval_at(base, base.bottom, flat)
+    upL, _, _, up_pos = interval_at(base, flat, base.top)
+    low_reps = _first_atoms(low_pos, lowL.n_atoms)
+    up_reps = _first_atoms(up_pos, upL.n_atoms)
+    lat = diag.entry.lat
+    out = Combination()
+    for f, m in enumerate(lat.flat_masks):
+        if m & diag.entry.base_mask != base.flat_masks[flat]:
+            continue
+        inside = [p for p in diag.word if m >> p & 1]
+        outside = [p for p in diag.word if not m >> p & 1]
+        sub, _, _, pos = interval_at(lat, lat.bottom, f)
+        s_lo, d_lo = algebra_for(lowL).normalize_raw(
+            sub, tuple(pos[a] for a in low_reps), tuple(pos[p] for p in inside))
+        if d_lo is ZERO:
+            continue
+        sub, _, _, pos = interval_at(lat, f, lat.top)
+        s_up, d_up = algebra_for(upL).normalize_raw(
+            sub, tuple(pos[a] for a in up_reps), tuple(pos[p] for p in outside))
+        if d_up is ZERO:
+            continue
+        eps = perm_parity(list(diag.word), inside + outside)
+        out.add_term(eps * s_lo * s_up, (d_lo, d_up))
+    return out
+
+
+COPRODUCT_ORACLE = [("pi4", (3, 2), 1), ("b3", (4, 2), 1),
+                    ("plane8", (3, 2), 10)]
+
+
+@pytest.mark.parametrize("name,bounds,step", COPRODUCT_ORACLE,
+                         ids=[n for n, _, _ in COPRODUCT_ORACLE])
+def test_coproduct_matches_the_reference_split(name, bounds, step, request):
+    # a cold algebra's coproduct, which drops dead flats before building
+    # their intervals and normalizes the upper factor first, gives exactly
+    # the terms of the plain loop over the flats
+    base = request.getfixturevalue(name)
+    cold = DiagramAlgebra(base)
+    diags = [d for ds in cold.diagrams_within(bounds).values() for d in ds]
+    proper = [f for f in range(base.n_flats)
+              if f not in (base.bottom, base.top)]
+    nonzero = 0
+    for d in diags[::step]:
+        for f in proper:
+            got = cold.coproduct(d, f)
+            assert got == _reference_split(cold, d, f), (d.key, f)
+            nonzero += not got.is_zero
+    assert nonzero
+
+
+FACTOR_RULE_ORACLE = [("pi3", (4, 2)), ("pi4", (3, 2)), ("b3", (4, 2))]
+
+
+@pytest.mark.parametrize("name,bounds", FACTOR_RULE_ORACLE,
+                         ids=[n for n, _ in FACTOR_RULE_ORACLE])
+def test_factor_rule_on_entry_masks_matches_the_built_interval(
+        name, bounds, request):
+    # the factor rule read off an entry's masks agrees with the factors of
+    # the built interval below and above each entry flat f, with the base
+    # image of the coproduct along the base flat F = f & base; F runs over
+    # every base flat, so intervals without base atoms are included
+    base = request.getfixturevalue(name)
+    seen = set()
+    for entry in catalog(base, *bounds):
+        lat = entry.lat
+        full = lat.flat_masks[lat.top]
+        for F, f_mask in enumerate(base.flat_masks):
+            lowL, _, _, low_pos = interval_at(base, base.bottom, F)
+            upL, _, _, up_pos = interval_at(base, F, base.top)
+            low_reps = _first_atoms(low_pos, lowL.n_atoms)
+            up_reps = _first_atoms(up_pos, upL.n_atoms)
+            for f, m in enumerate(lat.flat_masks):
+                if m & entry.base_mask != f_mask:
+                    continue
+                for lo, hi, reps in ((lat.bottom, f, low_reps),
+                                     (f, lat.top, up_reps)):
+                    if lo == hi:
+                        continue
+                    sub, _, _, pos = interval_at(lat, lo, hi)
+                    img = sum(1 << pos[a] for a in reps)
+                    want = any(s & img == 0 for s in sub.factor_supports())
+                    got = _splits_off_base(lat, entry.base_mask,
+                                           lat.flat_masks[lo],
+                                           lat.flat_masks[hi])
+                    assert got == want, (entry.certificate, F, f, lo, hi)
+                    seen.add(got)
+    assert seen == {True, False}
 
 
 def test_bottom_grading_is_unit_only(pi3, pi4):
