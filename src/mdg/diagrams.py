@@ -21,17 +21,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .canon import canonical_form
 from .errors import (
+    ForeignFlat,
     ImproperFlat,
     MismatchedBase,
     NotContractible,
     NotGeometric,
     NotIso,
 )
-from .extensions import CatalogEntry, ModularExtension, _canonical_entry, catalog
-from .lattice import (Embedding, GeometricLattice, _atoms_mask, _mask_atoms,
-                      _merge_sign, _word_sign, interval_at, parallel_connection,
-                      restriction, same_lattice)
+from .extensions import CatalogEntry, ModularExtension, _entry_of_form, catalog
+from .lattice import (Embedding, GeometricLattice, _atoms_mask, _check_flats,
+                      _mask_atoms, _merge_sign, _word_sign, interval_at,
+                      parallel_connection, restriction, same_lattice)
 from .modularity import is_modular
 from .os_algebra import OSElement, reduce_to_nbc
 
@@ -140,7 +142,9 @@ class DiagramAlgebra:
                                "are not defined")
         self.base = base
         self._entries = {}          # certificate -> CatalogEntry
-        self._raw_canon = {}        # raw structural key -> certificate
+        # (flat masks, pinned positions) -> (entry, perm); labels are not
+        # read, so relabelled copies of one structure share a key
+        self._raw_canon = {}
         self._pushout_cache = {}    # (cert1, cert2) -> pushout machinery
         self._diagram_blocks = {}   # bounds -> {(grading, degree): [Diagram]}
         # structure maps of canonical diagrams, as ((term, coeff), ...)
@@ -154,20 +158,28 @@ class DiagramAlgebra:
     def _register_entry(self, entry: CatalogEntry) -> CatalogEntry:
         return self._entries.setdefault(entry.certificate, entry)
 
-    def _entry_for(self, lat, fixed_labels):
-        """Canonical entry for a raw extension plus the relabeling into it."""
-        raw_key = (lat.atoms, lat.flat_masks, tuple(fixed_labels))
-        hit = self._raw_canon.get(raw_key)
-        if hit is not None:
-            cert, perm = hit
-            return self._entries[cert], perm
-        entry, perm = _canonical_entry(lat, self.base,
-                                       lat.n_atoms - self.base.n_atoms,
-                                       lat.rank - self.base.rank,
-                                       fixed_labels=fixed_labels)
-        entry = self._register_entry(entry)
-        self._raw_canon[raw_key] = (entry.certificate, perm)
-        return entry, perm
+    def _entry_for(self, lat, fixed):
+        """Canonical entry for a raw extension whose base atoms sit at the
+        positions ``fixed``, plus the relabeling into it.
+
+        The canonical form reads only the flat masks, their ranks (which the
+        masks determine) and the pinned positions, and the entry built from
+        it reads the masks, the ranks and the atom count, never an atom
+        label: so the key is the masks and the positions, and relabelled
+        copies of one structure share it.  A certificate already registered
+        keeps its entry; only a new one builds the entry lattice.
+        """
+        key = (lat.flat_masks, fixed)
+        hit = self._raw_canon.get(key)
+        if hit is None:
+            cf = canonical_form(lat, [lat.atoms[p] for p in fixed])
+            entry = self._entries.get(cf.certificate)
+            if entry is None:
+                entry = self._entries[cf.certificate] = _entry_of_form(
+                    lat, self.base, lat.n_atoms - self.base.n_atoms,
+                    lat.rank - self.base.rank, cf)
+            hit = self._raw_canon[key] = (entry, cf.perm)
+        return hit
 
     def normalize_raw(self, lat, atom_map, word_positions):
         """Normalize (lattice, base atom map, word); returns (sign, Diagram)
@@ -194,7 +206,7 @@ class DiagramAlgebra:
         if (_splits_off_base(lat, base_img, 0, lat.flat_masks[lat.top])
                 or _modular_flat_kills(lat, word_mask, above)):
             return 0, ZERO
-        entry, perm = self._entry_for(lat, [lat.atoms[p] for p in atom_map])
+        entry, perm = self._entry_for(lat, tuple(atom_map))
         if entry.has_odd_aut:
             return 0, ZERO
         sorted_word, sign = _word_sign(tuple(perm[p] for p in word_positions))
@@ -217,6 +229,9 @@ class DiagramAlgebra:
             raise MismatchedBase("extension is over a different base")
         ext.validate()
         lat = ext.lat
+        for w in word_labels:
+            if w not in lat.atom_index:
+                raise ForeignFlat(f"unknown atom {w!r}")
         word = tuple(lat.atom_index[w] for w in word_labels)
         return self.normalize_raw(lat, ext.embedding.atom_map, word)
 
@@ -361,13 +376,14 @@ class DiagramAlgebra:
         """The coproduct, computed afresh.
 
         Each flat f of the entry meeting the base in ``flat`` gives the pair
-        of diagrams on [0, f] and [f, top].  Their base images are the base
-        atoms in f and the covers of f that hold a base atom, so the factor
-        rule reads either interval off the entry's masks with the entry's
-        base mask: a flat with a dead interval is dropped before either is
-        built.  The upper factor goes first: its word usually repeats a
-        letter (two word atoms outside f in one cover of f), which spares
-        the lower interval and its normalization.
+        of diagrams on [0, f] and [f, top].  Only the entry's live flats are
+        visited, those whose intervals both survive the factor rule
+        (``_live_flats``, once per entry).  The upper word repeats a letter
+        when two word atoms outside f lie in one cover of f; an atom a
+        outside f lies in exactly one, f v a, so ``_cover_repeats`` reads
+        the repeat off the entry before [f, top] is built.  The lower word
+        cannot repeat: the atoms of [0, f] are the atoms of f.  The upper
+        factor goes first, which spares the lower interval when it vanishes.
         """
         base = self.base
         lowL, _, _, low_pos = interval_at(base, base.bottom, flat)
@@ -377,18 +393,15 @@ class DiagramAlgebra:
         # one base atom for each atom of the two base intervals
         low_reps = _first_atoms(low_pos, lowL.n_atoms)
         up_reps = _first_atoms(up_pos, upL.n_atoms)
-        lat = diag.entry.lat
-        base_all = diag.entry.base_mask
-        full = lat.flat_masks[lat.top]
-        f_mask = base.flat_masks[flat]
+        entry = diag.entry
+        lat = entry.lat
+        masks = lat.flat_masks
         out = Combination()
         word_mask = _atoms_mask(diag.word)
-        for f, m in enumerate(lat.flat_masks):
-            if (m & base_all != f_mask
-                    or _splits_off_base(lat, base_all, m, full)
-                    or _splits_off_base(lat, base_all, 0, m)):
+        for f in _live_flats(entry).get(base.flat_masks[flat], ()):
+            in_mask, out_mask = word_mask & masks[f], word_mask & ~masks[f]
+            if _cover_repeats(entry, f, out_mask):
                 continue
-            in_mask, out_mask = word_mask & m, word_mask & ~m
 
             # upper factor: interval above f, base = interval above flat.
             # f meets the base in flat, so a base atom outside flat lies
@@ -502,6 +515,7 @@ class DiagramAlgebra:
         return blocks
 
     def basis(self, grading: int, degree: int, bounds):
+        _check_flats(self.base, grading)
         return list(self.diagrams_within(bounds).get((grading, degree), []))
 
     def cohomology_block(self, grading: int, bounds):
@@ -517,6 +531,7 @@ class DiagramAlgebra:
         own; the cell ranks sum to the degree ranks.
         """
         from .linalg import RationalMatrix, betti_from_ranks, rank as matrix_rank
+        _check_flats(self.base, grading)
         new_atoms, extra_rank = bounds      # a pair: no third slot here
         bounds = (new_atoms, extra_rank)
         grading_rank = self.base.ranks[grading]
@@ -587,6 +602,38 @@ def _splits_off_base(lat, base_mask, lo, hi):
         if s is not None and t is not None and ranks[s] + ranks[t] == total:
             return True
         x = (x - 1) & free
+    return False
+
+
+def _live_flats(entry: CatalogEntry):
+    """The flats f of the entry, meeting the base in a proper flat, whose
+    intervals [0, f] and [f, top] both survive the factor rule, grouped by
+    the mask of that base flat in flat order.  Only these split off a
+    coproduct term.  Filled once per entry and kept on it."""
+    live = entry.live_flats
+    if live is None:
+        lat, base_mask = entry.lat, entry.base_mask
+        full = lat.flat_masks[lat.top]
+        live = {}
+        for f, m in enumerate(lat.flat_masks):
+            if (m & base_mask not in (0, base_mask)
+                    and not _splits_off_base(lat, base_mask, m, full)
+                    and not _splits_off_base(lat, base_mask, 0, m)):
+                live.setdefault(m & base_mask, []).append(f)
+        entry.live_flats = live
+    return live
+
+
+def _cover_repeats(entry: CatalogEntry, f, out_mask):
+    """Whether two atoms of ``out_mask``, all outside the flat f, lie in
+    one cover of f, so that the word over [f, top] repeats a letter.  Each
+    atom a outside f lies in exactly one cover, f v a."""
+    lat = entry.lat
+    covered = 0
+    for a in _mask_atoms(out_mask):
+        if covered >> a & 1:
+            return True
+        covered |= lat.flat_masks[lat.join(f, entry.atom_flats[a])]
     return False
 
 

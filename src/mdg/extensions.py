@@ -314,7 +314,8 @@ class CatalogEntry:
     """
 
     __slots__ = ("lat", "n_base", "level", "extra_rank", "certificate",
-                 "top", "automorphisms", "has_odd_aut", "atom_flats")
+                 "top", "automorphisms", "has_odd_aut", "atom_flats",
+                 "live_flats")
 
     def __init__(self, lat, n_base, level, extra_rank, certificate, top,
                  automorphisms):
@@ -333,6 +334,7 @@ class CatalogEntry:
                                for a in automorphisms)
         self.atom_flats = tuple(lat.flat_index[1 << i]
                                 for i in range(lat.n_atoms))
+        self.live_flats = None  # filled by diagrams._live_flats
 
     @property
     def base_mask(self):
@@ -343,14 +345,11 @@ class CatalogEntry:
         return ModularExtension(emb, self.top)
 
 
-def _canonical_entry(lat, base, level, extra_rank, fixed_labels=None):
+def _canonical_entry(lat, base, level, extra_rank):
     """Relabel an extension lattice so the base prefix is fixed and the new
     atoms are in canonical order; returns the entry and the relabeling.
-
-    ``fixed_labels`` names the images of the base atoms inside ``lat`` in
-    base order; by default the base atom labels themselves.
-    """
-    cf = canonical_form(lat, fixed_atoms=fixed_labels or base.atoms)
+    The base atoms of ``lat`` carry the base's own labels."""
+    cf = canonical_form(lat, fixed_atoms=base.atoms)
     return _entry_of_form(lat, base, level, extra_rank, cf), cf.perm
 
 

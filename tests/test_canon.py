@@ -26,7 +26,8 @@ from mdg.corpus import (
     path_graph_edges,
 )
 from mdg.extensions import catalog
-from mdg.lattice import build_boolean, build_from_flats, build_from_graph
+from mdg.lattice import (GeometricLattice, build_boolean, build_from_flats,
+                         build_from_graph)
 
 
 # Criterion 5's sweep graphs with C7, plus K3,3 and K6
@@ -257,3 +258,21 @@ def test_has_odd_aut_matches_brute_force(name):
     for entry in entries:
         assert entry.has_odd_aut == _brute_has_odd_aut(entry), \
             (name, entry.certificate)
+
+
+def test_canonical_form_ignores_atom_labels():
+    # the algebra keys its canonical forms on flat masks and pinned
+    # positions alone: a copy of each entry with fresh labels, sorting in
+    # the opposite order, at the same positions gets the same form
+    base = build_corpus_lattice("pi4")
+    entries = catalog(base, 4, 2)
+    for entry in entries:
+        lat = entry.lat
+        n = lat.n_atoms
+        copy = GeometricLattice(tuple(f"z{n - i:02d}" for i in range(n)),
+                                lat.flat_masks)
+        pinned = range(entry.n_base)
+        want = canonical_form(lat, [lat.atoms[i] for i in pinned])
+        got = canonical_form(copy, [copy.atoms[i] for i in pinned])
+        assert got == want, entry.certificate
+    assert any(e.level == 4 for e in entries)

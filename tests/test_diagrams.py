@@ -1,6 +1,10 @@
 import dataclasses
+from collections import Counter
 
 import pytest
+
+import mdg.diagrams
+import mdg.lattice
 
 from conftest import grading_extension_lattice, perm_parity
 from mdg.diagrams import (
@@ -10,11 +14,12 @@ from mdg.diagrams import (
     _first_atoms,
     _splits_off_base,
     algebra_for,
+    basis,
     cohomology,
     contractible_atoms,
     determining_bounds,
 )
-from mdg.errors import ImproperFlat, MismatchedBase, NotGeometric
+from mdg.errors import ForeignFlat, ImproperFlat, MismatchedBase, NotGeometric
 from mdg.extensions import ModularExtension, catalog, identity_extension
 from mdg.harness import run_axiom_suite
 from mdg.lattice import (
@@ -22,6 +27,7 @@ from mdg.lattice import (
     GeometricLattice,
     build_boolean,
     build_from_graph,
+    build_partition_lattice,
     direct_product,
     interval_at,
     restriction,
@@ -441,6 +447,45 @@ def test_coproduct_matches_the_reference_split(name, bounds, step, request):
     assert nonzero
 
 
+def test_structure_maps_skip_what_they_would_throw_away(monkeypatch):
+    # a cold algebra on a fresh pi4 takes every differential and every
+    # coproduct of its (3,2) basis.  Pinned: the intervals built (none for
+    # an upper word that repeats a letter), the factor tests (once per
+    # entry flat, not per diagram and flat), the canonical forms (one per
+    # structure and pinned positions, whatever the labels) and the entry
+    # lattices (one per certificate)
+    calls = Counter()
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    monkeypatch.setattr(mdg.diagrams, "_ALGEBRAS", {})
+    count(mdg.lattice, "interval")
+    for name in ("canonical_form", "_entry_of_form", "_splits_off_base"):
+        count(mdg.diagrams, name)
+    base = build_partition_lattice(4)
+    alg = algebra_for(base)
+    diags = [d for ds in alg.diagrams_within((3, 2)).values() for d in ds]
+    proper = [f for f in range(base.n_flats)
+              if f not in (base.bottom, base.top)]
+    nonzero = 0
+    for d in diags:
+        alg.differential_diagram(d)
+        for f in proper:
+            nonzero += not alg.coproduct(d, f).is_zero
+    assert (len(diags), nonzero) == (320, 964)
+    # building [f, top] before looking for a repeat, testing both factors
+    # per (diagram, flat), keying the forms on labels and building an entry
+    # lattice per form gave 204, 25102, 77 and 77
+    assert calls == {"interval": 168, "_splits_off_base": 3052,
+                     "canonical_form": 51, "_entry_of_form": 36}
+
+
 FACTOR_RULE_ORACLE = [("pi3", (4, 2)), ("pi4", (3, 2)), ("b3", (4, 2))]
 
 
@@ -690,6 +735,23 @@ def test_normalize_rejects_foreign_base(pi3, b3):
     alg = algebra_for(pi3)
     with pytest.raises(MismatchedBase):
         alg.normalize(identity_extension(b3), [])
+
+
+def test_foreign_labels_and_gradings_raise_foreign_flat(pi3):
+    # an unknown word label or a grading outside the base is reported with
+    # the typed error the coproduct gives for a flat outside the base
+    alg = algebra_for(pi3)
+    with pytest.raises(ForeignFlat, match="unknown atom"):
+        alg.normalize(identity_extension(pi3), ["zz"])
+    for grading in (99, pi3.n_flats, -1):
+        with pytest.raises(ForeignFlat):
+            alg.coproduct(alg.unit(), grading)
+        with pytest.raises(ForeignFlat):
+            alg.cohomology_block(grading, (2, 2))
+        with pytest.raises(ForeignFlat):
+            cohomology(pi3, grading, 2, 2)
+        with pytest.raises(ForeignFlat):
+            basis(pi3, grading, 0, 3, 2)
 
 
 def test_normalize_with_relabeled_base(pi3, pi4):
