@@ -142,9 +142,7 @@ class DiagramAlgebra:
                                "are not defined")
         self.base = base
         self._entries = {}          # certificate -> CatalogEntry
-        # (flat masks, pinned positions) -> (entry, perm); labels are not
-        # read, so relabelled copies of one structure share a key
-        self._raw_canon = {}
+        self._raw_canon = {}        # (masks, positions) -> (entry, perm)
         self._pushout_cache = {}    # (cert1, cert2) -> pushout machinery
         self._diagram_blocks = {}   # bounds -> {(grading, degree): [Diagram]}
         # structure maps of canonical diagrams, as ((term, coeff), ...)
@@ -155,20 +153,12 @@ class DiagramAlgebra:
     # ------------------------------------------------------------------
     # normalization
 
-    def _register_entry(self, entry: CatalogEntry) -> CatalogEntry:
-        return self._entries.setdefault(entry.certificate, entry)
-
     def _entry_for(self, lat, fixed):
-        """Canonical entry for a raw extension whose base atoms sit at the
-        positions ``fixed``, plus the relabeling into it.
-
-        The canonical form reads only the flat masks, their ranks (which the
-        masks determine) and the pinned positions, and the entry built from
-        it reads the masks, the ranks and the atom count, never an atom
-        label: so the key is the masks and the positions, and relabelled
-        copies of one structure share it.  A certificate already registered
-        keeps its entry; only a new one builds the entry lattice.
-        """
+        """Canonical entry for a raw extension with its base atoms at the
+        positions ``fixed``, and the relabeling into it.  The canonical form
+        and the entry read the flat masks, the ranks (set by the masks) and
+        the positions, never a label, so these are the key.  A certificate
+        already registered keeps its entry."""
         key = (lat.flat_masks, fixed)
         hit = self._raw_canon.get(key)
         if hit is None:
@@ -376,14 +366,12 @@ class DiagramAlgebra:
         """The coproduct, computed afresh.
 
         Each flat f of the entry meeting the base in ``flat`` gives the pair
-        of diagrams on [0, f] and [f, top].  Only the entry's live flats are
-        visited, those whose intervals both survive the factor rule
-        (``_live_flats``, once per entry).  The upper word repeats a letter
-        when two word atoms outside f lie in one cover of f; an atom a
-        outside f lies in exactly one, f v a, so ``_cover_repeats`` reads
-        the repeat off the entry before [f, top] is built.  The lower word
-        cannot repeat: the atoms of [0, f] are the atoms of f.  The upper
-        factor goes first, which spares the lower interval when it vanishes.
+        of diagrams on [0, f] and [f, top].  Only the entry's live flats,
+        whose intervals both survive the factor rule, are visited, and a
+        repeated upper letter is read off the covers of f before [f, top]
+        is built; the lower word cannot repeat, its atoms being those of f.
+        The upper factor goes first, which spares the lower interval when
+        it vanishes.
         """
         base = self.base
         lowL, _, _, low_pos = interval_at(base, base.bottom, flat)
@@ -492,7 +480,7 @@ class DiagramAlgebra:
             return hit
         blocks = {}
         for raw_entry in catalog(self.base, *bounds):
-            entry = self._register_entry(raw_entry)
+            entry = self._entries.setdefault(raw_entry.certificate, raw_entry)
             lat = entry.lat
             base_mask = entry.base_mask
             if entry.has_odd_aut or _splits_off_base(
@@ -606,10 +594,9 @@ def _splits_off_base(lat, base_mask, lo, hi):
 
 
 def _live_flats(entry: CatalogEntry):
-    """The flats f of the entry, meeting the base in a proper flat, whose
-    intervals [0, f] and [f, top] both survive the factor rule, grouped by
-    the mask of that base flat in flat order.  Only these split off a
-    coproduct term.  Filled once per entry and kept on it."""
+    """The entry flats f meeting the base in a proper flat whose [0, f] and
+    [f, top] both survive the factor rule, by the mask of that base flat:
+    the only flats a coproduct splits at.  Kept on the entry."""
     live = entry.live_flats
     if live is None:
         lat, base_mask = entry.lat, entry.base_mask
@@ -625,9 +612,8 @@ def _live_flats(entry: CatalogEntry):
 
 
 def _cover_repeats(entry: CatalogEntry, f, out_mask):
-    """Whether two atoms of ``out_mask``, all outside the flat f, lie in
-    one cover of f, so that the word over [f, top] repeats a letter.  Each
-    atom a outside f lies in exactly one cover, f v a."""
+    """Whether two atoms of ``out_mask``, all outside f, lie in one cover
+    of f (a lies in f v a only): the word over [f, top] repeats a letter."""
     lat = entry.lat
     covered = 0
     for a in _mask_atoms(out_mask):
