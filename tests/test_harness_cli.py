@@ -225,6 +225,33 @@ def test_cli_dump_matrices(tmp_path):
     assert len(header.split()) == 3
 
 
+# The name and bytes of every d{k}.txt that --dump-matrices writes for each
+# run below, hashed together: the differentials' layout and coefficients.
+DUMP_GOLDEN_RUNS = [
+    ["--lattice", "pi3"],
+    ["--lattice", "pi4"],
+    ["--lattice", "b2"],
+    ["--lattice", "b2", "--max-atoms", "5"],
+    ["--lattice", "pi3", "--grading", "1-2"],
+]
+
+DUMP_GOLDEN = ("84265f1ba4fd1539b7ce4aaa0c28e1f1"
+               "981ad40afd5e587918704441edf0f447")
+
+
+def test_cli_dump_matrices_match_golden_digest(tmp_path):
+    h = hashlib.sha256()
+    for i, argv in enumerate(DUMP_GOLDEN_RUNS):
+        dump = tmp_path / str(i)
+        code, _ = run_cli("md", "cohomology", *argv,
+                          "--dump-matrices", str(dump))
+        assert code == 0
+        h.update(" ".join(argv).encode() + b"\n")
+        for name in sorted(os.listdir(dump)):
+            h.update(name.encode() + b"|" + (dump / name).read_bytes())
+    assert h.hexdigest() == DUMP_GOLDEN
+
+
 def test_cli_chordal_and_golden(tmp_path):
     code, out = run_cli("chordal", "--lattice", "c4")
     assert code == 0 and "False" in out
