@@ -67,7 +67,7 @@ from .diagrams import (
     normalize,
     product,
 )
-from .linalg import RationalMatrix, betti_from_ranks
+from .linalg import IntegerMatrix, betti_from_ranks
 from .harness import (
     VerificationReport,
     emit_golden,

@@ -16,7 +16,8 @@ from . import corpus
 from .diagrams import algebra_for, cohomology
 from .errors import MDGError, ResourceLimit, SpecParse
 from .extensions import catalog
-from .harness import emit_golden, run_axiom_suite, run_verify_qiso
+from .harness import (emit_golden, run_axiom_suite, run_verify_qiso,
+                      stabilization_report)
 from .lattice import GeometricLattice
 from .modularity import (
     chordality_crosscheck,
@@ -241,7 +242,7 @@ def _dispatch(args):
             return 0
         if args.os_command == "reduce":
             el = reduce_to_nbc(lat, args.word)
-            terms = [{"monomial": list(m), "coefficient": f"{c.numerator}/{c.denominator}"}
+            terms = [{"monomial": list(m), "coefficient": f"{c}/1"}
                      for m, c in el.monomials()]
             _emit(args, {"terms": terms},
                   [" + ".join(f"({t['coefficient']}) e[{','.join(t['monomial'])}]"
@@ -285,19 +286,13 @@ def _dispatch(args):
                    for d, c in vec.coeffs.items()] or ["0"])
             return 0
         if args.md_command == "cohomology":
-            blk, nxt, stable = cohomology(lat, grading, args.max_atoms,
-                                          args.max_rank)
+            blk, nxt, _ = cohomology(lat, grading, args.max_atoms,
+                                     args.max_rank)
             if args.dump_matrices:
                 _dump_matrices(blk, args.dump_matrices)
-            payload = {"dims": {str(k): v for k, v in sorted(blk.dims.items())},
-                       "healed": blk.healed,
-                       "betti": {str(k): v for k, v in sorted(blk.betti.items())},
-                       "betti_next": {str(k): v
-                                      for k, v in sorted(nxt.betti.items())},
-                       "stable_degrees": {str(k): v
-                                          for k, v in stable.items()},
-                       "cells": blk.cell_report(),
-                       "cells_next": nxt.cell_report()}
+            tables, stable = stabilization_report(blk, nxt)
+            payload = {**tables, "healed": blk.healed,
+                       "stable_degrees": stable}
             _emit(args, payload,
                   [f"dims:  {payload['dims']}",
                    f"betti: {payload['betti']}",
@@ -370,14 +365,16 @@ def _report_out(args, rep):
 
 
 def _dump_matrices(block, out_dir):
-    from .linalg import RationalMatrix
+    """Write the map out of each degree k to d{k}.txt."""
+    from .linalg import IntegerMatrix
     os.makedirs(out_dir, exist_ok=True)
-    for k, entries in sorted(block.matrices.items()):
-        rows = block.dims.get(k + 1, 0)
-        cols = block.dims.get(k, 0)
-        m = RationalMatrix(rows, cols)
-        for (r, c), v in entries.items():
-            m.set(r, c, v)
+    dims = block.dims
+    for k in block.ranks:       # every degree from the lowest to the highest
+        m = IntegerMatrix(dims.get(k + 1, 0), dims.get(k, 0))
+        # a diagram's nullity names its cell: the cells share no row
+        for (_, d), cell in block.cells.items():
+            if d == k:
+                m.entries.update(cell.entries)
         with open(os.path.join(out_dir, f"d{k}.txt"), "w",
                   encoding="utf-8") as fh:
             m.dump(fh)

@@ -20,6 +20,7 @@ computed once and kept on their algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from .canon import canonical_form
 from .errors import (
@@ -515,10 +516,11 @@ class DiagramAlgebra:
 
         Contraction removes one word atom and lowers the word's rank by
         one, so the complex is a direct sum over the nullity of the word.
-        Each (nullity, degree) cell has its own matrix and is ranked on its
-        own; the cell ranks sum to the degree ranks.
+        Each (nullity, degree) cell has its own matrix, at basis positions
+        in the degree, and is ranked on its own; the cell ranks sum to the
+        degree ranks.
         """
-        from .linalg import RationalMatrix, betti_from_ranks, rank as matrix_rank
+        from .linalg import IntegerMatrix, betti_from_ranks, rank as matrix_rank
         _check_flats(self.base, grading)
         new_atoms, extra_rank = bounds      # a pair: no third slot here
         bounds = (new_atoms, extra_rank)
@@ -527,38 +529,28 @@ class DiagramAlgebra:
                   for (g, deg), diags in self.diagrams_within(bounds).items()
                   if g == grading}
         if not blocks:
-            return CohomologyBlock(grading, bounds, {}, {}, {}, 0, {},
+            return CohomologyBlock(grading, bounds, {}, {}, {}, {},
                                    grading_rank, {})
-        # each basis diagram's position in its degree and in its cell
-        pos = {}
+        dims = {deg: len(ds) for deg, ds in blocks.items()}
+        pos = {d: i for ds in blocks.values() for i, d in enumerate(ds)}
+        degrees = range(min(dims), max(dims) + 1)
         cell_dims = {}
-        for deg, ds in blocks.items():
-            for i, d in enumerate(ds):
-                cell = (d.nullity, deg)
-                pos[d] = (i, cell_dims.get(cell, 0))
-                cell_dims[cell] = pos[d][1] + 1
-        matrices = {}       # degree -> {(row, col): coefficient}
-        cells = {}          # (nullity, degree) -> RationalMatrix
-        for k in range(min(blocks), max(blocks) + 1):
-            entries = matrices[k] = {}
-            for diag in blocks.get(k, ()):
-                n = diag.nullity
-                col, cell_col = pos[diag]
+        cells = {}          # (nullity, degree) -> IntegerMatrix
+        for k in degrees:
+            for col, diag in enumerate(blocks.get(k, ())):
+                cell = (diag.nullity, k)
+                cell_dims[cell] = cell_dims.get(cell, 0) + 1
                 for d2, c in self.differential_diagram(diag).coeffs.items():
                     assert (d2 in pos and d2.degree == k + 1
-                            and d2.grading == grading and d2.nullity == n)
-                    row, cell_row = pos[d2]
-                    entries[row, col] = c
-                    m = cells.get((n, k))
+                            and d2.grading == grading and d2.nullity == cell[0])
+                    m = cells.get(cell)
                     if m is None:
-                        m = cells[n, k] = RationalMatrix(cell_dims[n, k + 1],
-                                                         cell_dims[n, k])
-                    m.set(cell_row, cell_col, c)
+                        m = cells[cell] = IntegerMatrix(dims[k + 1], dims[k])
+                    m.set(pos[d2], col, c)
         cell_ranks = {cell: matrix_rank(m) for cell, m in cells.items()}
-        ranks = dict.fromkeys(matrices, 0)
+        ranks = dict.fromkeys(degrees, 0)
         for (_, k), r in cell_ranks.items():
             ranks[k] += r
-        dims = {deg: len(ds) for deg, ds in blocks.items()}
         betti = betti_from_ranks(dims, ranks)
         cell_betti = {}
         for n in {n for n, _ in cell_dims}:
@@ -566,8 +558,8 @@ class DiagramAlgebra:
                 {d: v for (m, d), v in cell_dims.items() if m == n},
                 {d: v for (m, d), v in cell_ranks.items() if m == n})
             cell_betti.update(((n, d), v) for d, v in per_degree.items())
-        return CohomologyBlock(grading, bounds, dims, ranks, betti, 0,
-                               matrices, grading_rank, cell_betti)
+        return CohomologyBlock(grading, bounds, dims, ranks, betti, cells,
+                               grading_rank, cell_betti)
 
 
 def _splits_off_base(lat, base_mask, lo, hi):
@@ -672,10 +664,10 @@ class CohomologyBlock:
     dims: dict
     ranks: dict
     betti: dict
-    healed: int          # always 0; md cohomology --json and bench read it
-    matrices: dict
+    cells: dict          # (nullity, degree) -> IntegerMatrix
     grading_rank: int
     cell_betti: dict     # (nullity, degree) -> Betti number
+    healed: ClassVar[int] = 0   # md cohomology --json and bench read it
 
     def is_exact(self, nullity: int, degree: int) -> bool:
         """Whether the cell's Betti number is the untruncated value."""

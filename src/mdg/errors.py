@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-Every error that reports a witness carries it as a plain attribute so the
-CLI can serialize it.
+Every error carries its witness, or None, as the plain attribute
+``witness``.
 """
 
 from __future__ import annotations
@@ -10,17 +10,17 @@ from __future__ import annotations
 class MDGError(Exception):
     """Base class for all package errors."""
 
-
-class NotALattice(MDGError):
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
+
+
+class NotALattice(MDGError):
+    pass
 
 
 class NotGeometric(MDGError):
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
+    pass
 
 
 class DuplicateAtom(MDGError):
@@ -44,9 +44,7 @@ class NotComparable(MDGError):
 
 
 class NotModular(MDGError):
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
+    pass
 
 
 class NotModularCoatom(MDGError):
@@ -54,9 +52,7 @@ class NotModularCoatom(MDGError):
 
 
 class NotAModularCut(MDGError):
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
+    pass
 
 
 class DegenerateCut(MDGError):

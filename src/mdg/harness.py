@@ -64,8 +64,16 @@ class VerificationReport:
                           sort_keys=True, indent=2)
 
 
-def _betti_as_str_keys(d):
-    return {str(k): v for k, v in sorted(d.items())}
+def stabilization_report(lo, hi):
+    """The tables of a truncation ``lo`` and its +1-atom run ``hi`` (Betti
+    numbers, dimensions and cells), and the per-degree agreement of their
+    Betti numbers, keyed by strings for JSON."""
+    def by_degree(d):
+        return {str(k): v for k, v in sorted(d.items())}
+    tables = {"betti": by_degree(lo.betti), "betti_next": by_degree(hi.betti),
+              "dims": by_degree(lo.dims), "cells": lo.cell_report(),
+              "cells_next": hi.cell_report()}
+    return tables, by_degree(stable_degrees(lo, hi))
 
 
 def run_verify_qiso(lat: GeometricLattice, max_new_atoms=3, max_extra_rank=2,
@@ -133,12 +141,8 @@ def run_verify_qiso(lat: GeometricLattice, max_new_atoms=3, max_extra_rank=2,
     hi = alg.cohomology_block(lat.top, (max_new_atoms + 1, max_extra_rank))
     check_deadline("cohomology at the stability bounds")
     rep.timings["cohomology"] = time.perf_counter() - t0
-    rep.tables["betti"] = _betti_as_str_keys(lo.betti)
-    rep.tables["betti_next"] = _betti_as_str_keys(hi.betti)
-    rep.tables["dims"] = _betti_as_str_keys(lo.dims)
-    rep.tables["cells"] = lo.cell_report()
-    rep.tables["cells_next"] = hi.cell_report()
-    rep.stabilization = {str(k): v for k, v in stable_degrees(lo, hi).items()}
+    tables, rep.stabilization = stabilization_report(lo, hi)
+    rep.tables.update(tables)
 
     if expected is not None:
         # compare every (nullity, degree) cell whose Betti number the bounds
@@ -172,7 +176,7 @@ def run_verify_qiso(lat: GeometricLattice, max_new_atoms=3, max_extra_rank=2,
     else:
         rep.add("qiso-stable-comparison", "INFO",
                 note="no prediction asserted (not supersolvable)",
-                truncated_betti=_betti_as_str_keys(lo.betti))
+                truncated_betti=tables["betti"])
     return rep
 
 

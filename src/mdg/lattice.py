@@ -576,10 +576,12 @@ def _check_flats(lat, *flats):
 
 def restriction(lat: GeometricLattice, atom_labels, *, name=None):
     """Sublattice of joins of the given atoms, with the inclusion embedding."""
-    chosen = [a for a in lat.atoms if a in set(atom_labels)]
+    atom_labels = list(atom_labels)     # read once: it may be a generator
     for a in atom_labels:
         if a not in lat.atom_index:
             raise ForeignFlat(f"unknown atom {a!r}")
+    wanted = set(atom_labels)
+    chosen = [a for a in lat.atoms if a in wanted]
     positions = [lat.atom_index[a] for a in chosen]
     sel_mask = _atoms_mask(positions)
     pos_of = {p: i for i, p in enumerate(positions)}

@@ -1,15 +1,16 @@
-"""Exact sparse rational matrices and rank computation.
+"""Sparse integer matrices and their exact rank.
 
-Rank is computed by fraction-free integer elimination with Markowitz-style
-pivoting.  ``rank_mod_prime`` gives the rank over a 62-bit prime field, a
-lower bound on the rational rank, for tests and cross checks.
+Rank over the rationals is computed by fraction-free integer elimination
+with Markowitz-style pivoting.  ``rank_mod_prime`` gives the rank over a
+62-bit prime field, a lower bound on the rational rank, for tests and
+cross checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
+from operator import index
 
 from .errors import InconsistentChain
 
@@ -17,62 +18,50 @@ _PRIME_62 = (1 << 62) - 57  # largest prime below 2**62
 
 
 @dataclass
-class RationalMatrix:
+class IntegerMatrix:
     rows: int
     cols: int
-    entries: dict = field(default_factory=dict)  # (r, c) -> Fraction
+    entries: dict = field(default_factory=dict)  # row -> {col: int}
 
     def set(self, r, c, value):
         if not 0 <= r < self.rows or not 0 <= c < self.cols:
             raise IndexError((r, c))
-        value = Fraction(value)
+        value = index(value)
         if value:
-            self.entries[(r, c)] = value
-        else:
-            self.entries.pop((r, c), None)
+            self.entries.setdefault(r, {})[c] = value
+        elif c in self.entries.get(r, ()):
+            del self.entries[r][c]
+            if not self.entries[r]:
+                del self.entries[r]
 
     @property
     def nnz(self):
-        return len(self.entries)
+        return sum(map(len, self.entries.values()))
 
     def transpose(self):
-        out = RationalMatrix(self.cols, self.rows)
-        for (r, c), v in self.entries.items():
-            out.entries[(c, r)] = v
-        return out
-
-    def integer_rows(self):
-        """Clear denominators row by row; rank is unchanged."""
-        rows = [dict() for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            rows[r][c] = v
-        out = []
-        for row in rows:
-            if not row:
-                out.append({})
-                continue
-            denom = 1
-            for v in row.values():
-                denom = denom * v.denominator // gcd(denom, v.denominator)
-            out.append({c: int(v * denom) for c, v in row.items()})
+        out = IntegerMatrix(self.cols, self.rows)
+        for r, row in self.entries.items():
+            for c, v in row.items():
+                out.entries.setdefault(c, {})[r] = v
         return out
 
     def dump(self, fh):
+        """Header ``rows cols nnz``, then ``r c v/1`` per entry in order."""
         fh.write(f"{self.rows} {self.cols} {self.nnz}\n")
-        for (r, c) in sorted(self.entries):
-            v = self.entries[(r, c)]
-            fh.write(f"{r} {c} {v.numerator}/{v.denominator}\n")
+        for r, row in sorted(self.entries.items()):
+            for c, v in sorted(row.items()):
+                fh.write(f"{r} {c} {v}/1\n")
 
 
-def rank(matrix: RationalMatrix) -> int:
+def rank(matrix: IntegerMatrix) -> int:
     """Exact rank over the rationals."""
-    return _rank_fraction_free(matrix.integer_rows())
+    return _rank_fraction_free(matrix.entries.values())
 
 
-def rank_mod_prime(matrix: RationalMatrix, p: int = _PRIME_62) -> int:
+def rank_mod_prime(matrix: IntegerMatrix, p: int = _PRIME_62) -> int:
     """Rank over the field with ``p`` elements, by sparse row echelon form."""
     pivots = {}  # leading column -> pivot row, scaled to 1 there
-    for row in matrix.integer_rows():
+    for row in matrix.entries.values():
         row = {c: v % p for c, v in row.items() if v % p}
         while row:
             c = min(row)
@@ -93,7 +82,7 @@ def rank_mod_prime(matrix: RationalMatrix, p: int = _PRIME_62) -> int:
 
 def _rank_fraction_free(rows):
     """Markowitz-pivoted integer elimination with per-row gcd reduction."""
-    rows = [dict(r) for r in rows if r]
+    rows = [r for r in rows if r]      # only read: each step builds new rows
     rank_count = 0
     while rows:
         col_count = {}

@@ -18,9 +18,11 @@ from mdg.errors import (
     NotALattice,
     NotComparable,
     NotGeometric,
+    NotModular,
     SelfLoop,
 )
 from mdg.extensions import catalog
+from mdg.modularity import diamond_iso
 from mdg.lattice import (
     _merge_sign,
     _word_sign,
@@ -70,6 +72,21 @@ def test_build_from_flats_rejects_not_well_ranked():
         build_from_flats(["a", "b", "c"],
                          [[], ["a"], ["b"], ["c"], ["a", "b"],
                           ["a", "b", "c"]])
+
+
+def test_raised_errors_carry_their_witness(plane8):
+    with pytest.raises(NotALattice) as ex:
+        build_from_flats(["a", "b"], [[], ["a"], ["b"]])
+    assert ex.value.witness == (("a",), ("b",))
+    with pytest.raises(NotGeometric) as ex:
+        build_from_flats(["a", "b", "c"],
+                         [[], ["a"], ["b"], ["c"], ["a", "b"],
+                          ["a", "b", "c"]])
+    assert ex.value.witness == ("a", "b", "c")
+    with pytest.raises(NotModular) as ex:
+        diamond_iso(plane8, plane8.flat_of_atoms(["a", "e"]), plane8.bottom)
+    assert ex.value.witness == ("a", "e")
+    assert ForeignFlat("no witness").witness is None
 
 
 def test_build_from_graph_k3(pi3):
@@ -204,6 +221,18 @@ def test_interval_at_positions_match_brute_force(name, request):
             want.append(sub.flat_masks[s].bit_length() - 1 if ok else None)
         assert pos == tuple(want)
         assert interval_at(lat, lo, hi) is got
+
+
+def test_restriction_reads_its_labels_once(pi4):
+    # a generator of labels gives the same sublattice as a list or a tuple
+    labels = ["1-2", "1-3", "2-3"]
+    subs = [restriction(pi4, arg)[0]
+            for arg in (labels, tuple(labels), (a for a in labels))]
+    for sub in subs:
+        assert sub.atoms == tuple(labels) and sub.rank == 2
+        assert sub.flat_masks == subs[0].flat_masks
+    with pytest.raises(ForeignFlat):
+        restriction(pi4, (a for a in ["1-2", "9-9"]))
 
 
 def test_restriction_interval_agree(plane8):

@@ -6,7 +6,7 @@ import pytest
 
 from mdg.errors import InconsistentChain
 from mdg.linalg import (
-    RationalMatrix,
+    IntegerMatrix,
     betti_from_ranks,
     euler_characteristic,
     rank,
@@ -15,12 +15,12 @@ from mdg.linalg import (
 
 
 def test_rank_trivial_cases():
-    assert rank(RationalMatrix(3, 3)) == 0
-    m = RationalMatrix(3, 3)
+    assert rank(IntegerMatrix(3, 3)) == 0
+    m = IntegerMatrix(3, 3)
     for i in range(3):
         m.set(i, i, 1)
     assert rank(m) == 3
-    t = RationalMatrix(3, 1)
+    t = IntegerMatrix(3, 1)
     t.set(0, 0, 1)
     t.set(1, 0, -1)
     t.set(2, 0, 1)
@@ -28,24 +28,28 @@ def test_rank_trivial_cases():
 
 
 def test_rank_rational_entries():
-    m = RationalMatrix(2, 2)
-    m.set(0, 0, Fraction(1, 2))
-    m.set(0, 1, Fraction(1, 3))
-    m.set(1, 0, Fraction(3, 2))
-    m.set(1, 1, Fraction(1, 1))
+    # the rows (1/2, 1/3) and (3/2, 1) times 6: scaling keeps the rank
+    m = IntegerMatrix(2, 2)
+    m.set(0, 0, 3)
+    m.set(0, 1, 2)
+    m.set(1, 0, 9)
+    m.set(1, 1, 6)
     assert rank(m) == 1  # second row is three times the first
+    for value in (Fraction(1, 2), 0.5, 1.0):
+        with pytest.raises(TypeError):
+            m.set(0, 0, value)
 
 
 def test_rank_transpose_and_modular_prime():
     rng = random.Random(5)
     for _ in range(30):
         r, c = rng.randint(1, 9), rng.randint(1, 9)
-        m = RationalMatrix(r, c)
+        m = IntegerMatrix(r, c)
         for i in range(r):
             for j in range(c):
                 if rng.random() < 0.5:
-                    m.set(i, j, Fraction(rng.randint(-6, 6),
-                                         rng.randint(1, 4)))
+                    # a/b with b <= 4, times 12 = lcm(1, 2, 3, 4)
+                    m.set(i, j, rng.randint(-6, 6) * 12 // rng.randint(1, 4))
         assert rank(m) == rank(m.transpose())
         assert rank(m) == rank_mod_prime(m)
 
@@ -55,14 +59,14 @@ def test_rank_oracle_dense_gauss():
     rng = random.Random(9)
     for _ in range(20):
         r, c = rng.randint(1, 7), rng.randint(1, 7)
-        m = RationalMatrix(r, c)
+        m = IntegerMatrix(r, c)
         rows = [[Fraction(0)] * c for _ in range(r)]
         for i in range(r):
             for j in range(c):
                 if rng.random() < 0.6:
                     v = Fraction(rng.randint(-5, 5))
                     rows[i][j] = v
-                    m.set(i, j, v)
+                    m.set(i, j, int(v))
         # oracle
         work = [row[:] for row in rows]
         rk = 0
@@ -96,12 +100,14 @@ def test_euler_characteristic_matches_betti():
 
 
 def test_dump_format():
-    m = RationalMatrix(2, 3)
-    m.set(0, 1, Fraction(1, 2))
+    m = IntegerMatrix(2, 3)
+    m.set(0, 1, 2)
     m.set(1, 2, -3)
+    m.set(1, 0, 5)
+    m.set(1, 0, 0)
     buf = io.StringIO()
     m.dump(buf)
     lines = buf.getvalue().splitlines()
     assert lines[0] == "2 3 2"
-    assert lines[1] == "0 1 1/2"
+    assert lines[1] == "0 1 2/1"
     assert lines[2] == "1 2 -3/1"
