@@ -42,11 +42,10 @@ from .os_algebra import OSElement, reduce_to_nbc
 ZERO = None  # sentinel for normalized-to-zero
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class Diagram:
-    """A normalized nonzero modular diagram (canonical representative)."""
+    """A normalized nonzero modular diagram, one object per (entry, word)."""
 
-    # unique per base signature (algebra_for), so identity is equality
     algebra: "DiagramAlgebra" = field(repr=False)
     entry: CatalogEntry
     word: tuple        # sorted canonical atom positions
@@ -57,15 +56,6 @@ class Diagram:
     @property
     def key(self):
         return (self.entry.certificate, self.word)
-
-    def __hash__(self):
-        return hash((self.entry.certificate, self.word))
-
-    def __eq__(self, other):
-        return (isinstance(other, Diagram)
-                and self.algebra is other.algebra
-                and self.entry.certificate == other.entry.certificate
-                and self.word == other.word)
 
     def word_labels(self):
         return tuple(self.entry.lat.atoms[i] for i in self.word)
@@ -145,6 +135,7 @@ class DiagramAlgebra:
         self._entries = {}          # certificate -> CatalogEntry
         self._raw_canon = {}        # (masks, positions) -> (entry, perm)
         self._pushout_cache = {}    # (cert1, cert2) -> pushout machinery
+        self._diagrams = {}         # (certificate, word) -> Diagram
         self._diagram_blocks = {}   # bounds -> {(grading, degree): [Diagram]}
         # structure maps of canonical diagrams, as ((term, coeff), ...)
         self._differentials = {}    # Diagram -> terms
@@ -205,14 +196,19 @@ class DiagramAlgebra:
 
     def _diagram(self, entry: CatalogEntry, sorted_word):
         """The diagram of a surviving sorted word over a canonical entry."""
-        lat = entry.lat
-        vj = lat.closure(_atoms_mask(sorted_word))
-        meet_mask = lat.flat_masks[vj] & lat.flat_masks[entry.top]
-        degree = len(sorted_word) - 2 * (lat.ranks[vj]
-                                         - lat.ranks[lat.flat_index[meet_mask]])
-        return Diagram(self, entry, sorted_word, degree,
-                       self.base.flat_index[meet_mask],
-                       len(sorted_word) - lat.ranks[vj])
+        key = (entry.certificate, sorted_word)
+        diag = self._diagrams.get(key)
+        if diag is None:
+            lat = entry.lat
+            vj = lat.closure(_atoms_mask(sorted_word))
+            meet_mask = lat.flat_masks[vj] & lat.flat_masks[entry.top]
+            meet_rank = lat.ranks[lat.flat_index[meet_mask]]
+            diag = self._diagrams[key] = Diagram(
+                self, entry, sorted_word,
+                len(sorted_word) - 2 * (lat.ranks[vj] - meet_rank),
+                self.base.flat_index[meet_mask],
+                len(sorted_word) - lat.ranks[vj])
+        return diag
 
     def normalize(self, ext: ModularExtension, word_labels):
         """Public entry point: validate the extension, then normalize."""
@@ -250,10 +246,12 @@ class DiagramAlgebra:
         missing the base), so contractible means exactly: not below the
         base image.
         """
+        self._own(diag)
         return [k for k, p in enumerate(diag.word) if p >= diag.entry.n_base]
 
     def contract(self, diag: Diagram, position: int):
         """Contract the word atom at the given (0-based) stored position."""
+        self._own(diag)
         word = diag.word
         if not 0 <= position < len(word):
             raise NotContractible(f"no word position {position}")
@@ -270,7 +268,6 @@ class DiagramAlgebra:
             raise MismatchedBase("diagram is over a different base")
 
     def differential_diagram(self, diag: Diagram) -> Combination:
-        self._own(diag)
         terms = self._differentials.get(diag)
         if terms is None:
             out = Combination()
@@ -342,6 +339,7 @@ class DiagramAlgebra:
             vec = diag_or_vec
         out = OSElement.zero(self.base)
         for d, c in vec.coeffs.items():
+            self._own(d)
             if any(p >= d.entry.n_base for p in d.word):
                 continue  # some word atom is contractible: maps to zero
             labels = [self.base.atoms[p] for p in d.word]
@@ -427,12 +425,14 @@ class DiagramAlgebra:
         tgt = iso.target
         if tgt.n_atoms != self.base.n_atoms or tgt.n_flats != self.base.n_flats:
             raise NotIso("not an isomorphism")
+        algebra_for(tgt)._own(diag)
         atom_map = tuple(iso.atom_map[i] for i in range(self.base.n_atoms))
         return self.normalize_raw(diag.entry.lat, atom_map, diag.word)
 
     def grading_restrict(self, diag: Diagram):
         """MD(L, F) -> MD([0,F], top): restrict the extension below the image
         of the grading flat."""
+        self._own(diag)
         flat = diag.grading
         lowL, _, _, low_pos = interval_at(self.base, self.base.bottom, flat)
         low_alg = algebra_for(lowL)
@@ -450,6 +450,7 @@ class DiagramAlgebra:
         """MD([0,F], top) -> MD(L, F): push the extension out along the base."""
         base = self.base
         lowL, _, _, low_pos = interval_at(base, base.bottom, flat)
+        algebra_for(lowL)._own(low_diag)
         lat = low_diag.entry.lat
         n_new = lat.n_atoms - low_diag.entry.n_base
         # the low base atoms sit at their base positions, the new atoms last

@@ -79,7 +79,7 @@ def modular_cut(lat: GeometricLattice, members) -> ModularCut:
 
 def truncation(lat: GeometricLattice, cut: ModularCut, *, name=None) -> GeometricLattice:
     """Delete the flats outside the cut that are covered by a member of it."""
-    if cut.lattice is not lat:
+    if not same_lattice(cut.lattice, lat):
         raise NotAModularCut("cut belongs to a different lattice")
     covers_up = lat.covers_up()
     keep = []
@@ -96,7 +96,7 @@ def single_element_extension(lat: GeometricLattice, cut: ModularCut, label: str)
     Equivalent to truncating the product with a two-element chain along the
     shifted cut.  Returns (extension_lattice, embedding).
     """
-    if cut.lattice is not lat:
+    if not same_lattice(cut.lattice, lat):
         raise NotAModularCut("cut belongs to a different lattice")
     for f in cut.members:
         if lat.ranks[f] <= 1:

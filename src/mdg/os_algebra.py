@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import ForeignFlat, ImproperFlat, LatticeMismatch, SpecParse
 from .lattice import (GeometricLattice, _atoms_mask, _mask_atoms, _merge_sign,
-                      _word_sign, interval_at)
+                      _word_sign, interval_at, same_lattice)
 
 
 class OSContext:
@@ -111,7 +111,7 @@ class OSElement:
         return not self.coeffs
 
     def __add__(self, other):
-        if self.lattice is not other.lattice:
+        if not same_lattice(self.lattice, other.lattice):
             raise LatticeMismatch("operands live over different lattices")
         d = dict(self.coeffs)
         for m, c in other.coeffs:
@@ -146,7 +146,7 @@ def reduce_to_nbc(lat: GeometricLattice, word) -> OSElement:
 
 
 def multiply(a: OSElement, b: OSElement) -> OSElement:
-    if a.lattice is not b.lattice:
+    if not same_lattice(a.lattice, b.lattice):
         raise LatticeMismatch("operands live over different lattices")
     lat = a.lattice
     ctx = os_context(lat)

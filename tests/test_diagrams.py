@@ -7,9 +7,11 @@ import mdg.diagrams
 import mdg.lattice
 
 from conftest import grading_extension_lattice, perm_parity
+from mdg.corpus import build_corpus_lattice
 from mdg.diagrams import (
     Combination,
     DiagramAlgebra,
+    I_morphism,
     ZERO,
     _first_atoms,
     _splits_off_base,
@@ -18,6 +20,7 @@ from mdg.diagrams import (
     cohomology,
     contractible_atoms,
     determining_bounds,
+    grading_component_iso,
 )
 from mdg.errors import ForeignFlat, ImproperFlat, MismatchedBase, NotGeometric
 from mdg.extensions import ModularExtension, catalog, identity_extension
@@ -29,6 +32,7 @@ from mdg.lattice import (
     build_from_graph,
     build_partition_lattice,
     direct_product,
+    identity_embedding,
     interval_at,
     restriction,
 )
@@ -183,6 +187,19 @@ def test_comparison_morphism(pi3, pi4):
                  reduce_to_nbc(pi3, ["1-3"])).as_dict()
 
 
+def test_os_elements_over_a_rebuilt_lattice_combine():
+    # I over b lands over a, the copy algebra_for met first; OS arithmetic
+    # compares lattices by same_lattice, not by identity
+    a, b = build_corpus_lattice("pi3"), build_corpus_lattice("pi3")
+    algebra_for(a)
+    x = I_morphism(b, algebra_for(b).atom_diagram("1-2"))
+    y = reduce_to_nbc(b, ["1-3"])
+    assert x.lattice is not b
+    z = reduce_to_nbc(b, ["1-2"])
+    assert multiply(x, y).as_dict() == multiply(z, y).as_dict()
+    assert (x + y).as_dict() == (z + y).as_dict()
+
+
 def test_coproduct_unit_and_generators(pi3):
     alg = algebra_for(pi3)
     f = pi3.flat_of_atoms(["1-2"])
@@ -305,23 +322,59 @@ def test_grading_component_iso_roundtrip(pi4):
 
 
 def test_diagram_equality_needs_the_same_base(pi3, b3):
-    # diagrams over different bases never compare equal, even with the same
-    # certificate, word and hash
+    # diagrams compare by identity: never equal across bases, even with the
+    # same certificate and word, and a rebuilt lattice gets the same object
     d = algebra_for(pi3).unit()
     other = dataclasses.replace(d, algebra=algebra_for(b3))
-    assert hash(other) == hash(d) and other != d
-    assert dataclasses.replace(d) == d
+    assert other.key == d.key and other != d
+    assert dataclasses.replace(d) != d
     rebuilt = GeometricLattice(pi3.atoms, pi3.flat_masks)
-    assert algebra_for(rebuilt).unit() == d
+    assert algebra_for(rebuilt).unit() is d
 
 
-def test_structure_maps_reject_foreign_diagrams(pi3, b3):
+def test_normalize_returns_the_listed_diagram(pi4):
+    # a full-support word over a catalog entry normalizes to the very object
+    # that diagrams_within lists
+    alg = algebra_for(pi4)
+    listed = {d.key: d for ds in alg.diagrams_within((3, 2)).values()
+              for d in ds}
+    seen = 0
+    for entry in catalog(pi4, 3, 2):
+        lat = entry.lat
+        ext = ModularExtension.build(
+            Embedding(pi4, lat, tuple(range(pi4.n_atoms))))
+        sign, diag = alg.normalize(ext, lat.atoms)
+        if diag is not ZERO:
+            assert sign == 1 and diag is listed[diag.key]
+            seen += 1
+    assert seen
+
+
+def test_differential_terms_are_basis_diagrams(pi4):
+    alg = algebra_for(pi4)
+    basis_ids = {id(d) for ds in alg.diagrams_within((3, 2)).values()
+                 for d in ds}
+    terms = [t for ds in alg.diagrams_within((3, 2)).values() for d in ds
+             for t in alg.differential_diagram(d).coeffs]
+    assert terms and all(id(t) in basis_ids for t in terms)
+
+
+def test_structure_maps_reject_foreign_diagrams(pi3, pi4, b3):
     alg = algebra_for(pi3)
     d = alg.atom_diagram("1-2")
     foreign = dataclasses.replace(d, algebra=algebra_for(b3))
     f = pi3.flat_of_atoms(["1-2"])
     with pytest.raises(MismatchedBase):
         alg.differential_diagram(foreign)
+    on_b3 = algebra_for(b3).atom_diagram("x1")
+    on_pi4 = algebra_for(pi4).atom_diagram("1-4")
+    forward, backward = grading_component_iso(pi3, f)
+    for call in (lambda: alg.relabel(identity_embedding(pi3), on_b3),
+                 lambda: forward(on_pi4), lambda: backward(on_b3),
+                 lambda: alg.to_os(on_pi4), lambda: alg.contract(on_pi4, 0),
+                 lambda: alg.contractible_positions(on_pi4)):
+        with pytest.raises(MismatchedBase):
+            call()
     with pytest.raises(MismatchedBase):
         alg.product(foreign, d)
     with pytest.raises(MismatchedBase):

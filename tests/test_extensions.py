@@ -75,6 +75,18 @@ def test_truncation_can_reject_non_simple(pi3):
         truncation(pi3, modular_cut(pi3, [pi3.top]))
 
 
+def test_cut_of_a_rebuilt_lattice_is_accepted():
+    # a cut names flats by index, so a lattice with the same atoms and flats
+    # takes it; a different lattice does not
+    a, b = build_corpus_lattice("b3"), build_corpus_lattice("b3")
+    cut = modular_cut(a, [a.top])
+    assert truncation(b, cut).flat_masks == truncation(a, cut).flat_masks
+    ext, _ = single_element_extension(b, cut, "e")
+    assert ext.flat_masks == single_element_extension(a, cut, "e")[0].flat_masks
+    with pytest.raises(NotAModularCut):
+        truncation(build_corpus_lattice("pi3"), cut)
+
+
 def test_single_element_extension_u24(pi3):
     ext, emb = single_element_extension(pi3, modular_cut(pi3, [pi3.top]), "e")
     assert ext.rank == 2 and ext.n_atoms == 4
