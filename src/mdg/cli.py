@@ -312,7 +312,7 @@ def _dispatch(args):
         for e in entries:
             payload["extensions"].append({
                 "atoms": list(e.lat.atoms),
-                "new_atoms": e.lat.n_atoms - e.n_base,
+                "new_atoms": e.level,
                 "extra_rank": e.extra_rank,
                 "certificate": e.certificate.hex(),
                 "flats": [sorted(e.lat.atoms_of(f))

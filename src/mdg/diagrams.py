@@ -136,7 +136,6 @@ class DiagramAlgebra:
         self._raw_canon = {}        # (masks, positions) -> (entry, perm)
         self._pushout_cache = {}    # (cert1, cert2) -> pushout machinery
         self._diagrams = {}         # (certificate, word) -> Diagram
-        self._diagram_blocks = {}   # bounds -> {(grading, degree): [Diagram]}
         # structure maps of canonical diagrams, as ((term, coeff), ...)
         self._differentials = {}    # Diagram -> terms
         self._products = {}         # (Diagram, Diagram) -> terms
@@ -158,8 +157,7 @@ class DiagramAlgebra:
             entry = self._entries.get(cf.certificate)
             if entry is None:
                 entry = self._entries[cf.certificate] = _entry_of_form(
-                    lat, self.base, lat.n_atoms - self.base.n_atoms,
-                    lat.rank - self.base.rank, cf)
+                    lat, self.base, cf)
             hit = self._raw_canon[key] = (entry, cf.perm)
         return hit
 
@@ -452,7 +450,7 @@ class DiagramAlgebra:
         lowL, _, _, low_pos = interval_at(base, base.bottom, flat)
         algebra_for(lowL)._own(low_diag)
         lat = low_diag.entry.lat
-        n_new = lat.n_atoms - low_diag.entry.n_base
+        n_new = low_diag.entry.level
         # the low base atoms sit at their base positions, the new atoms last
         pos = _first_atoms(low_pos, lowL.n_atoms)
         pos += [base.n_atoms + k for k in range(n_new)]
@@ -476,32 +474,29 @@ class DiagramAlgebra:
         bench/worker.py still passes, is ignored.
         """
         # the third slot goes when bench/worker.py drops AXIOM_CAP
-        bounds = tuple(bounds[:2])
-        hit = self._diagram_blocks.get(bounds)
-        if hit is not None:
-            return hit
         blocks = {}
-        for raw_entry in catalog(self.base, *bounds):
+        for raw_entry in catalog(self.base, *bounds[:2]):
             entry = self._entries.setdefault(raw_entry.certificate, raw_entry)
             lat = entry.lat
             base_mask = entry.base_mask
             if entry.has_odd_aut or _splits_off_base(
                     lat, base_mask, 0, lat.flat_masks[lat.top]):
                 continue
+            # a flat above the base top holds every base atom, so the
+            # modular-flat rule reads the new atoms only
             new_mask = ((1 << lat.n_atoms) - 1) ^ base_mask
             top_mask = lat.flat_masks[entry.top]
-            above = [f for f, m in enumerate(lat.flat_masks)
-                     if m & top_mask == top_mask]
+            above = (f for f, m in enumerate(lat.flat_masks)
+                     if m & top_mask == top_mask)
+            if _modular_flat_kills(lat, new_mask, above):
+                continue
             for smask in range(1 << entry.n_base):
-                word_mask = new_mask | smask
-                if _modular_flat_kills(lat, word_mask, above):
-                    continue
-                diag = self._diagram(entry, tuple(_mask_atoms(word_mask)))
+                word = tuple(_mask_atoms(new_mask | smask))
+                diag = self._diagram(entry, word)
                 blocks.setdefault((diag.grading, diag.degree),
                                   []).append(diag)
         for k in blocks:
             blocks[k].sort(key=lambda d: d.key)
-        self._diagram_blocks[bounds] = blocks
         return blocks
 
     def basis(self, grading: int, degree: int, bounds):

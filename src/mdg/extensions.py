@@ -50,16 +50,12 @@ class ModularCut:
 def is_modular_cut(lat: GeometricLattice, members) -> tuple:
     """Check the two closure conditions; returns (ok, violating_pair)."""
     members = frozenset(members)
-    ups = lat.upsets()
+    masks = lat.flat_masks
     for f in members:
-        up = ups[f]
-        g = 0
-        while up:
-            low = up & -up
-            g = low.bit_length() - 1
-            if g not in members:
+        mf = masks[f]
+        for g, m in enumerate(masks):
+            if m & mf == mf and g not in members:
                 return False, (f, g)
-            up ^= low
     for f1, f2 in itertools.combinations(sorted(members), 2):
         m = lat.meet(f1, f2)
         if m in members:
@@ -313,16 +309,12 @@ class CatalogEntry:
     new atoms, so the embedding is positional identity on the base prefix.
     """
 
-    __slots__ = ("lat", "n_base", "level", "extra_rank", "certificate",
-                 "top", "automorphisms", "has_odd_aut", "atom_flats",
-                 "live_flats")
+    __slots__ = ("lat", "n_base", "certificate", "top", "automorphisms",
+                 "has_odd_aut", "atom_flats", "live_flats")
 
-    def __init__(self, lat, n_base, level, extra_rank, certificate, top,
-                 automorphisms):
+    def __init__(self, lat, n_base, certificate, top, automorphisms):
         self.lat = lat
         self.n_base = n_base
-        self.level = level
-        self.extra_rank = extra_rank
         self.certificate = certificate
         self.top = top
         self.automorphisms = automorphisms
@@ -337,6 +329,16 @@ class CatalogEntry:
         self.live_flats = None  # filled by diagrams._live_flats
 
     @property
+    def level(self):
+        """The number of new atoms."""
+        return self.lat.n_atoms - self.n_base
+
+    @property
+    def extra_rank(self):
+        """The rank above the base top."""
+        return self.lat.rank - self.lat.ranks[self.top]
+
+    @property
     def base_mask(self):
         return (1 << self.n_base) - 1
 
@@ -345,15 +347,15 @@ class CatalogEntry:
         return ModularExtension(emb, self.top)
 
 
-def _canonical_entry(lat, base, level, extra_rank):
+def _canonical_entry(lat, base):
     """Relabel an extension lattice so the base prefix is fixed and the new
     atoms are in canonical order; returns the entry and the relabeling.
     The base atoms of ``lat`` carry the base's own labels."""
     cf = canonical_form(lat, fixed_atoms=base.atoms)
-    return _entry_of_form(lat, base, level, extra_rank, cf), cf.perm
+    return _entry_of_form(lat, base, cf), cf.perm
 
 
-def _entry_of_form(lat, base, level, extra_rank, cf):
+def _entry_of_form(lat, base, cf):
     """The catalog entry of ``lat`` relabeled by its canonical form ``cf``:
     the base prefix is fixed and the new atoms, in canonical order, are
     named e1, e2, ... (skipping used labels)."""
@@ -381,8 +383,7 @@ def _entry_of_form(lat, base, level, extra_rank, cf):
     auts = tuple(tuple(perm[a[inv[i]]] for i in range(n))
                  for a in cf.automorphisms)
     top = canon_lat.closure((1 << base.n_atoms) - 1)
-    return CatalogEntry(canon_lat, base.n_atoms, level, extra_rank,
-                        cf.certificate, top, auts)
+    return CatalogEntry(canon_lat, base.n_atoms, cf.certificate, top, auts)
 
 
 def _valid_cuts(entry: CatalogEntry):
@@ -476,10 +477,9 @@ def _valid_cuts(entry: CatalogEntry):
         return inside, outside, dead
 
     # the base-top condition only concerns flats g not above the base top
-    ups_fi = lat.upsets()[fi]
     by_join = {}  # X above the base top -> flats g not above it, g v fi = X
     for g in range(n_f):
-        if not ups_fi >> g & 1:
+        if masks[g] & fi_mask != fi_mask:
             x = lat.join(fi, g)
             by_join[x] = by_join.get(x, 0) | 1 << g
     joined = [(hyps[x], gs) for x, gs in by_join.items()]
@@ -526,15 +526,14 @@ def catalog(base: GeometricLattice, max_new_atoms: int, max_extra_rank: int):
         raise ValueError("catalog bounds must be nonnegative")
     levels = base._catalogs.get(max_extra_rank)
     if levels is None:
-        root, _ = _canonical_entry(base, base, 0, 0)
+        root, _ = _canonical_entry(base, base)
         levels = base._catalogs[max_extra_rank] = [[root]]
     while len(levels) <= max_new_atoms:
-        levels.append(_next_level(base, levels[-1], len(levels),
-                                  max_extra_rank))
+        levels.append(_next_level(base, levels[-1], max_extra_rank))
     return [e for lvl in levels[:max_new_atoms + 1] for e in lvl]
 
 
-def _next_level(base, entries, level, max_extra_rank):
+def _next_level(base, entries, max_extra_rank):
     """The canonical children of ``entries`` with one more atom, sorted by
     certificate.
 
@@ -569,8 +568,7 @@ def _next_level(base, entries, level, max_extra_rank):
                 lat, ModularCut(lat, members), "@new")
             cf = canonical_form(child, fixed_atoms=base.atoms)
             if cf.certificate not in nxt:
-                nxt[cf.certificate] = _entry_of_form(
-                    child, base, level, entry.extra_rank + (not members), cf)
+                nxt[cf.certificate] = _entry_of_form(child, base, cf)
     return [nxt[c] for c in sorted(nxt)]
 
 

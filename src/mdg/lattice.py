@@ -99,12 +99,8 @@ class GeometricLattice:
         "rank",
         "bottom",
         "top",
-        "_join_cache",
         "_covers_up",
-        "_upsets",
         "_factor_supports",
-        "_circuits",
-        "_modular_cache",
         "_intervals",
         "_catalogs",
         "_os",
@@ -130,12 +126,8 @@ class GeometricLattice:
                        key=lambda m: (m.bit_count(), m))
         self.flat_masks = tuple(masks)
         self.flat_index = {m: i for i, m in enumerate(masks)}
-        self._join_cache = {}
         self._covers_up = None
-        self._upsets = None
         self._factor_supports = None
-        self._circuits = None
-        self._modular_cache = {}
         self._intervals = {}    # (lo, hi) -> interval_at(self, lo, hi)
         self._catalogs = {}     # extra-rank bound -> catalog levels (extensions)
         self._os = None         # Orlik-Solomon context (os_algebra)
@@ -272,26 +264,14 @@ class GeometricLattice:
         raise ForeignFlat("atom mask outside the lattice")
 
     def join(self, a: int, b: int) -> int:
-        if a == b:
-            return a
-        key = (a, b) if a < b else (b, a)
-        cached = self._join_cache.get(key)
-        if cached is not None:
-            return cached
         u = self.flat_masks[a] | self.flat_masks[b]
         idx = self.flat_index.get(u)
-        if idx is None:
-            lo = max(self.ranks[a], self.ranks[b]) + 1
-            idx = None
-            for r in range(lo, self.rank + 1):
-                for i in self.by_rank[r]:
-                    if self.flat_masks[i] & u == u:
-                        idx = i
-                        break
-                if idx is not None:
-                    break
-        self._join_cache[key] = idx
-        return idx
+        if idx is not None:
+            return idx
+        for r in range(max(self.ranks[a], self.ranks[b]) + 1, self.rank + 1):
+            for i in self.by_rank[r]:
+                if self.flat_masks[i] & u == u:
+                    return i
 
     def meet(self, a: int, b: int) -> int:
         return self.flat_index[self.flat_masks[a] & self.flat_masks[b]]
@@ -311,19 +291,6 @@ class GeometricLattice:
                         up[j].append(i)
             self._covers_up = tuple(tuple(x) for x in up)
         return self._covers_up
-
-    def upsets(self):
-        """Per flat, the bitmask over flat indices of all flats above it."""
-        if self._upsets is None:
-            ups = []
-            for i, m in enumerate(self.flat_masks):
-                acc = 0
-                for j, mj in enumerate(self.flat_masks):
-                    if mj & m == m:
-                        acc |= 1 << j
-                ups.append(acc)
-            self._upsets = tuple(ups)
-        return self._upsets
 
     # ------------------------------------------------------------------
     # structure
@@ -359,8 +326,6 @@ class GeometricLattice:
 
     def circuits_masks(self):
         """All circuits as atom masks (minimal dependent sets)."""
-        if self._circuits is not None:
-            return self._circuits
         found = []
         for f, m in enumerate(self.flat_masks):
             r = self.ranks[f]
@@ -374,8 +339,7 @@ class GeometricLattice:
                 if all(self.ranks[self.closure(mask & ~(1 << x))] == r
                        for x in sub):
                     found.append(mask)
-        self._circuits = tuple(sorted(found, key=lambda m: (m.bit_count(), m)))
-        return self._circuits
+        return tuple(sorted(found, key=lambda m: (m.bit_count(), m)))
 
     def rank_of_mask(self, mask: int) -> int:
         return self.ranks[self.closure(mask)]

@@ -15,9 +15,6 @@ def is_modular(lat: GeometricLattice, f: int, *, with_witness=False):
     lexicographic order of its atom-label tuple.
     """
     _check_flats(lat, f)
-    cached = lat._modular_cache.get(f)
-    if cached is not None and not with_witness:
-        return cached
     rf = lat.ranks[f]
     witness = None
     ok = True
@@ -33,7 +30,6 @@ def is_modular(lat: GeometricLattice, f: int, *, with_witness=False):
                 best = (lat.ranks[witness], lat.atoms_of(witness))
                 if cand < best:
                     witness = g
-    lat._modular_cache[f] = ok
     if with_witness:
         return ok, witness
     return ok

@@ -539,6 +539,24 @@ def test_structure_maps_skip_what_they_would_throw_away(monkeypatch):
                      "canonical_form": 51, "_entry_of_form": 36}
 
 
+def test_bounded_basis_tests_the_modular_flat_rule_once_per_entry(
+        monkeypatch, pi4):
+    # a flat above the base top holds every base atom, so the rule reads
+    # the new atoms only: one test per surviving entry, not per base subset
+    calls = [0]
+    real = mdg.diagrams._modular_flat_kills
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+    monkeypatch.setattr(mdg.diagrams, "_modular_flat_kills", counted)
+    algebra_for(pi4).diagrams_within((4, 2))
+    survivors = [e for e in catalog(pi4, 4, 2) if not e.has_odd_aut
+                 and not _splits_off_base(e.lat, e.base_mask, 0,
+                                          e.lat.flat_masks[e.lat.top])]
+    assert calls[0] == len(survivors) > 0
+
+
 FACTOR_RULE_ORACLE = [("pi3", (4, 2)), ("pi4", (3, 2)), ("b3", (4, 2))]
 
 
@@ -682,7 +700,7 @@ def test_coefficients_are_integers(pi4, c4):
     assert {type(c) for c in coeffs} == {int}
 
 
-def test_target_outside_the_basis_is_an_error(pi3):
+def test_target_outside_the_basis_is_an_error(monkeypatch, pi3):
     # the bounded basis is closed under the differential, so a target
     # missing from it is a defect, not a row to append
     alg = DiagramAlgebra(pi3)
@@ -690,8 +708,8 @@ def test_target_outside_the_basis_is_an_error(pi3):
     reached = next(d2 for (g, _), ds in blocks.items() if g == pi3.top
                    for d in ds for d2 in alg.differential_diagram(d).coeffs)
     cell = (reached.grading, reached.degree)
-    alg._diagram_blocks[(3, 2)][cell] = [d for d in blocks[cell]
-                                         if d != reached]
+    blocks[cell] = [d for d in blocks[cell] if d != reached]
+    monkeypatch.setattr(alg, "diagrams_within", lambda bounds: blocks)
     with pytest.raises(AssertionError):
         alg.cohomology_block(pi3.top, (3, 2))
 

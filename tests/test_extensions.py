@@ -57,6 +57,16 @@ def test_modular_cut_examples(pi3, pi4):
         modular_cut(pi3, [a12, a13, pi3.top])
 
 
+def test_modular_cut_witness_of_a_set_not_upward_closed(pi4):
+    # the atom 1-2 with only some flats above it: the witness is the first
+    # flat in index order above 1-2 and outside the set
+    a12 = pi4.flat_of_atoms(["1-2"])
+    pair = pi4.flat_of_atoms(["1-2", "3-4"])
+    ok, witness = is_modular_cut(pi4, [a12, pair, pi4.top])
+    assert not ok
+    assert witness == (a12, pi4.flat_of_atoms(["1-2", "1-3", "2-3"]))
+
+
 def test_truncation_boolean_corank(b3):
     t = truncation(b3, modular_cut(b3, [b3.top]))
     assert t.rank == 2 and t.n_atoms == 3
@@ -472,8 +482,8 @@ def test_valid_cuts_include_cuts_needing_four_generators(pi3):
 def _unpruned_catalog(base, max_new_atoms, max_extra_rank):
     """The catalog without cut-orbit pruning: every cut of every parent, in
     order, is canonicalized, and the first entry per certificate is kept."""
-    levels = [[_canonical_entry(base, base, 0, 0)[0]]]
-    for level in range(1, max_new_atoms + 1):
+    levels = [[_canonical_entry(base, base)[0]]]
+    for _ in range(max_new_atoms):
         nxt = {}
         for entry in levels[-1]:
             cuts = list(_valid_cuts(entry))
@@ -482,8 +492,7 @@ def _unpruned_catalog(base, max_new_atoms, max_extra_rank):
             for members in cuts:
                 child, _ = single_element_extension(
                     entry.lat, ModularCut(entry.lat, members), "@new")
-                cand, _ = _canonical_entry(child, base, level,
-                                           entry.extra_rank + (not members))
+                cand, _ = _canonical_entry(child, base)
                 nxt.setdefault(cand.certificate, cand)
         levels.append([nxt[c] for c in sorted(nxt)])
     return [e for lvl in levels for e in lvl]
@@ -544,8 +553,8 @@ def test_catalog_entry_automorphisms_fix_the_base(pi3):
     entry = catalog(pi3, 1, 1)[-1]
     moves_base = (1, 0) + tuple(range(2, entry.lat.n_atoms))
     with pytest.raises(AssertionError):
-        CatalogEntry(entry.lat, entry.n_base, entry.level, entry.extra_rank,
-                     entry.certificate, entry.top, (moves_base,))
+        CatalogEntry(entry.lat, entry.n_base, entry.certificate, entry.top,
+                     (moves_base,))
 
 
 def test_enumerate_u_line_family(pi2):

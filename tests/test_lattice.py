@@ -154,6 +154,18 @@ def test_join_meet_rank_examples(pi4, plane8):
             assert meet(lat, f, lat.top) == f
 
 
+def test_join_is_the_least_flat_above_both(pi4, plane8, c4, b3):
+    for lat in (pi4, plane8, c4, b3):
+        masks = lat.flat_masks
+        for a in range(lat.n_flats):
+            assert lat.join(a, a) == a
+            for b in range(lat.n_flats):
+                u = masks[a] | masks[b]
+                want = min((f for f in range(lat.n_flats)
+                            if masks[f] & u == u), key=lat.ranks.__getitem__)
+                assert lat.join(a, b) == want
+
+
 def test_rank_against_brute_oracle(plane8, pi4):
     for lat in (plane8, pi4):
         fl = flats_of(lat)
