@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import ClassVar
 
-from .canon import canonical_form
 from .errors import (
     ForeignFlat,
     ImproperFlat,
@@ -31,7 +30,7 @@ from .errors import (
     NotGeometric,
     NotIso,
 )
-from .extensions import CatalogEntry, ModularExtension, _entry_of_form, catalog
+from .extensions import CatalogEntry, ModularExtension, catalog, entry_for
 from .lattice import (Embedding, GeometricLattice, _atoms_mask, _check_flats,
                       _mask_atoms, _merge_sign, _word_sign, interval_at,
                       parallel_connection, restriction, same_lattice)
@@ -132,8 +131,6 @@ class DiagramAlgebra:
             raise NotGeometric("modular diagrams of the one-point lattice "
                                "are not defined")
         self.base = base
-        self._entries = {}          # certificate -> CatalogEntry
-        self._raw_canon = {}        # (masks, positions) -> (entry, perm)
         self._pushout_cache = {}    # (cert1, cert2) -> pushout machinery
         self._diagrams = {}         # (certificate, word) -> Diagram
         # structure maps of canonical diagrams, as ((term, coeff), ...)
@@ -143,23 +140,6 @@ class DiagramAlgebra:
 
     # ------------------------------------------------------------------
     # normalization
-
-    def _entry_for(self, lat, fixed):
-        """Canonical entry for a raw extension with its base atoms at the
-        positions ``fixed``, and the relabeling into it.  The canonical form
-        and the entry read the flat masks, the ranks (set by the masks) and
-        the positions, never a label, so these are the key.  A certificate
-        already registered keeps its entry."""
-        key = (lat.flat_masks, fixed)
-        hit = self._raw_canon.get(key)
-        if hit is None:
-            cf = canonical_form(lat, [lat.atoms[p] for p in fixed])
-            entry = self._entries.get(cf.certificate)
-            if entry is None:
-                entry = self._entries[cf.certificate] = _entry_of_form(
-                    lat, self.base, cf)
-            hit = self._raw_canon[key] = (entry, cf.perm)
-        return hit
 
     def normalize_raw(self, lat, atom_map, word_positions):
         """Normalize (lattice, base atom map, word); returns (sign, Diagram)
@@ -186,7 +166,7 @@ class DiagramAlgebra:
         if (_splits_off_base(lat, base_img, 0, lat.flat_masks[lat.top])
                 or _modular_flat_kills(lat, word_mask, above)):
             return 0, ZERO
-        entry, perm = self._entry_for(lat, tuple(atom_map))
+        entry, perm = entry_for(self.base, lat, tuple(atom_map))
         if entry.has_odd_aut:
             return 0, ZERO
         sorted_word, sign = _word_sign(tuple(perm[p] for p in word_positions))
@@ -298,10 +278,8 @@ class DiagramAlgebra:
         labels += [f"p{k+1}" for k in range(n1 + (l2.n_atoms - nb))]
         # the second side's new atoms follow the first side's
         pos2 = tuple(i if i < nb else i + n1 for i in range(l2.n_atoms))
-        masks = parallel_connection(l1, range(l1.n_atoms), l2, pos2,
-                                    (1 << nb) - 1, base.rank_of_mask)
-        lat = GeometricLattice(tuple(labels), masks.keys(), ranks=masks,
-                               validate=False)
+        lat = parallel_connection(l1, range(l1.n_atoms), l2, pos2,
+                                  (1 << nb) - 1, base.rank_of_mask, labels)
         machinery = (lat, pos2)
         self._pushout_cache[key] = machinery
         return machinery
@@ -456,10 +434,9 @@ class DiagramAlgebra:
         pos += [base.n_atoms + k for k in range(n_new)]
 
         labels = list(base.atoms) + [f"q{k+1}" for k in range(n_new)]
-        masks = parallel_connection(base, range(base.n_atoms), lat, pos,
-                                    base.flat_masks[flat], base.rank_of_mask)
-        big = GeometricLattice(tuple(labels), masks.keys(), ranks=masks,
-                               validate=False)
+        big = parallel_connection(base, range(base.n_atoms), lat, pos,
+                                  base.flat_masks[flat], base.rank_of_mask,
+                                  labels)
         word = tuple(pos[p] for p in low_diag.word)
         return self.normalize_raw(big, tuple(range(base.n_atoms)), word)
 
@@ -475,8 +452,7 @@ class DiagramAlgebra:
         """
         # the third slot goes when bench/worker.py drops AXIOM_CAP
         blocks = {}
-        for raw_entry in catalog(self.base, *bounds[:2]):
-            entry = self._entries.setdefault(raw_entry.certificate, raw_entry)
+        for entry in catalog(self.base, *bounds[:2]):
             lat = entry.lat
             base_mask = entry.base_mask
             if entry.has_odd_aut or _splits_off_base(

@@ -214,10 +214,9 @@ def pushout(ext1: ModularExtension, ext2: ModularExtension, *, name=None):
         sides.append(tuple(pos))
     pos1, pos2 = sides
 
-    masks = parallel_connection(e1, pos1, e2, pos2, (1 << nb) - 1,
-                                base.rank_of_mask)
-    lat = GeometricLattice(tuple(labels), masks.keys(), ranks=masks,
-                           atom_supports=supports, validate=False, name=name)
+    lat = parallel_connection(e1, pos1, e2, pos2, (1 << nb) - 1,
+                              base.rank_of_mask, labels,
+                              atom_supports=supports, name=name)
     emb12 = Embedding(base, lat, tuple(range(nb)))
     result = ModularExtension.build(emb12)
     return result, Embedding(e1, lat, pos1), Embedding(e2, lat, pos2)
@@ -347,18 +346,36 @@ class CatalogEntry:
         return ModularExtension(emb, self.top)
 
 
-def _canonical_entry(lat, base):
-    """Relabel an extension lattice so the base prefix is fixed and the new
-    atoms are in canonical order; returns the entry and the relabeling.
-    The base atoms of ``lat`` carry the base's own labels."""
-    cf = canonical_form(lat, fixed_atoms=base.atoms)
-    return _entry_of_form(lat, base, cf), cf.perm
+def _tables(base):
+    """The base's catalog levels, entries and raw forms, made on first use."""
+    tables = base._extensions
+    if tables is None:
+        tables = base._extensions = ({}, {}, {})
+    return tables
 
 
-def _entry_of_form(lat, base, cf):
-    """The catalog entry of ``lat`` relabeled by its canonical form ``cf``:
-    the base prefix is fixed and the new atoms, in canonical order, are
-    named e1, e2, ... (skipping used labels)."""
+def entry_for(base, lat, fixed):
+    """The base's entry for an extension with the base atoms at positions
+    ``fixed``, and the relabeling into it, keyed on what the canonical form
+    reads: the flat masks (which set the ranks) and the positions."""
+    raw = _tables(base)[2]
+    key = (lat.flat_masks, fixed)
+    hit = raw.get(key)
+    if hit is None:
+        cf = canonical_form(lat, [lat.atoms[p] for p in fixed])
+        hit = raw[key] = (_entry_of_form(base, lat, cf), cf.perm)
+    return hit
+
+
+def _entry_of_form(base, lat, cf):
+    """The base's entry for ``cf.certificate``, built on the first call
+    from ``lat`` relabeled by its canonical form ``cf``: the base prefix is
+    fixed and the new atoms, in canonical order, are named e1, e2, ...
+    (skipping used labels)."""
+    entries = _tables(base)[1]
+    entry = entries.get(cf.certificate)
+    if entry is not None:
+        return entry
     perm = cf.perm
     n = lat.n_atoms
     inv = [0] * n
@@ -383,7 +400,9 @@ def _entry_of_form(lat, base, cf):
     auts = tuple(tuple(perm[a[inv[i]]] for i in range(n))
                  for a in cf.automorphisms)
     top = canon_lat.closure((1 << base.n_atoms) - 1)
-    return CatalogEntry(canon_lat, base.n_atoms, cf.certificate, top, auts)
+    entry = entries[cf.certificate] = CatalogEntry(
+        canon_lat, base.n_atoms, cf.certificate, top, auts)
+    return entry
 
 
 def _valid_cuts(entry: CatalogEntry):
@@ -516,18 +535,20 @@ def catalog(base: GeometricLattice, max_new_atoms: int, max_extra_rank: int):
     deduplicated, ordered by (new-atom count, certificate).
 
     The levels (one per new-atom count) are kept on ``base`` per extra-rank
-    bound, so a larger atom bound extends the levels already built.  Each
-    level canonicalizes one cut per orbit of its parent's automorphisms
-    (see ``_next_level``).  Negative bounds raise ``ValueError``.
+    bound, so a larger atom bound extends the levels already built; every
+    bound shares the base's entries, one per certificate.  Each level
+    canonicalizes one cut per orbit of its parent's automorphisms (see
+    ``_next_level``).  Negative bounds raise ``ValueError``.
     """
     if base.is_trivial:
         raise NotGeometric("extensions of the one-point lattice are not defined")
     if max_new_atoms < 0 or max_extra_rank < 0:
         raise ValueError("catalog bounds must be nonnegative")
-    levels = base._catalogs.get(max_extra_rank)
+    by_bound = _tables(base)[0]
+    levels = by_bound.get(max_extra_rank)
     if levels is None:
-        root, _ = _canonical_entry(base, base)
-        levels = base._catalogs[max_extra_rank] = [[root]]
+        root, _ = entry_for(base, base, tuple(range(base.n_atoms)))
+        levels = by_bound[max_extra_rank] = [[root]]
     while len(levels) <= max_new_atoms:
         levels.append(_next_level(base, levels[-1], max_extra_rank))
     return [e for lvl in levels[:max_new_atoms + 1] for e in lvl]
@@ -543,8 +564,10 @@ def _next_level(base, entries, max_extra_rank):
     so an automorphism mapping one cut onto another extends, with the new
     atom fixed, to an isomorphism of the two children fixing the base:
     they share a certificate.  The first cut to reach a certificate is
-    never skipped, so every entry, generators included, is the one an
-    unpruned walk keeps.  An entry is built only for a new certificate.
+    never skipped, so on a fresh base every entry, generators included, is
+    the one an unpruned walk keeps.  A reused entry's generators come from
+    the first lattice that reached its certificate on this base; the
+    pruning and ``has_odd_aut`` read only their group.
     """
     nxt = {}
     for entry in entries:
@@ -567,8 +590,7 @@ def _next_level(base, entries, max_extra_rank):
             child, _ = single_element_extension(
                 lat, ModularCut(lat, members), "@new")
             cf = canonical_form(child, fixed_atoms=base.atoms)
-            if cf.certificate not in nxt:
-                nxt[cf.certificate] = _entry_of_form(child, base, cf)
+            nxt[cf.certificate] = _entry_of_form(base, child, cf)
     return [nxt[c] for c in sorted(nxt)]
 
 

@@ -102,7 +102,7 @@ class GeometricLattice:
         "_covers_up",
         "_factor_supports",
         "_intervals",
-        "_catalogs",
+        "_extensions",
         "_os",
         "name",
         "__weakref__",
@@ -129,7 +129,7 @@ class GeometricLattice:
         self._covers_up = None
         self._factor_supports = None
         self._intervals = {}    # (lo, hi) -> interval_at(self, lo, hi)
-        self._catalogs = {}     # extra-rank bound -> catalog levels (extensions)
+        self._extensions = None  # catalog and entry tables (extensions)
         self._os = None         # Orlik-Solomon context (os_algebra)
 
         n = len(atoms)
@@ -644,16 +644,16 @@ def interval_at(lat: GeometricLattice, lo: int, hi: int):
 
 
 def parallel_connection(l1: GeometricLattice, pos1, l2: GeometricLattice, pos2,
-                        shared: int, shared_rank):
-    """Flats and ranks of the generalized parallel connection of two
-    lattices along a common flat (Oxley, *Matroid Theory*, 2nd ed., 11.4).
+                        shared: int, shared_rank, labels, *,
+                        atom_supports=None, name=None):
+    """The generalized parallel connection of two lattices along a common
+    flat (Oxley, *Matroid Theory*, 2nd ed., 11.4), over the atom ``labels``.
 
     ``pos1`` and ``pos2`` send each side's atom positions to positions in
     the result, ``shared`` is the mask of the common atoms there, and
     ``shared_rank`` ranks a submask of ``shared``.  A flat of the result
     is the union of one flat from each side meeting ``shared`` in the same
     mask; its rank is the two ranks less the rank of that common part.
-    Returns the mask -> rank dict.
     """
     parts1 = {}
     for m1, r1 in zip(_move_masks(l1.flat_masks, pos1), l1.ranks):
@@ -664,7 +664,9 @@ def parallel_connection(l1: GeometricLattice, pos1, l2: GeometricLattice, pos2,
         r2 -= shared_rank(common)
         for m1, r1 in parts1.get(common, ()):
             masks[m1 | m2] = r1 + r2
-    return masks
+    return GeometricLattice(tuple(labels), masks.keys(), ranks=masks,
+                            atom_supports=atom_supports, validate=False,
+                            name=name)
 
 
 def direct_product(l1: GeometricLattice, l2: GeometricLattice, *, name=None):
@@ -672,11 +674,10 @@ def direct_product(l1: GeometricLattice, l2: GeometricLattice, *, name=None):
     if set(l1.atoms) & set(l2.atoms):
         raise DuplicateAtom("factors share atom labels")
     n1, n2 = l1.n_atoms, l2.n_atoms
-    masks = parallel_connection(l1, range(n1), l2, range(n1, n1 + n2), 0,
-                                lambda common: 0)
-    return GeometricLattice(l1.atoms + l2.atoms, masks.keys(), ranks=masks,
-                            atom_supports=l1.atom_supports + l2.atom_supports,
-                            validate=False, name=name)
+    supports = l1.atom_supports + l2.atom_supports
+    return parallel_connection(l1, range(n1), l2, range(n1, n1 + n2), 0,
+                               lambda common: 0, l1.atoms + l2.atoms,
+                               atom_supports=supports, name=name)
 
 
 def irreducible_factors(lat: GeometricLattice):

@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 import mdg.diagrams
+import mdg.extensions
 import mdg.lattice
 
 from conftest import grading_extension_lattice, perm_parity
@@ -506,7 +507,7 @@ def test_structure_maps_skip_what_they_would_throw_away(monkeypatch):
     # an upper word that repeats a letter), the factor tests (once per
     # entry flat, not per diagram and flat), the canonical forms (one per
     # structure and pinned positions, whatever the labels) and the entry
-    # lattices (one per certificate)
+    # lattices (one per certificate), the last two once the basis is built
     calls = Counter()
 
     def count(module, name):
@@ -519,11 +520,12 @@ def test_structure_maps_skip_what_they_would_throw_away(monkeypatch):
 
     monkeypatch.setattr(mdg.diagrams, "_ALGEBRAS", {})
     count(mdg.lattice, "interval")
-    for name in ("canonical_form", "_entry_of_form", "_splits_off_base"):
-        count(mdg.diagrams, name)
+    count(mdg.diagrams, "_splits_off_base")
     base = build_partition_lattice(4)
     alg = algebra_for(base)
     diags = [d for ds in alg.diagrams_within((3, 2)).values() for d in ds]
+    for name in ("canonical_form", "CatalogEntry"):
+        count(mdg.extensions, name)
     proper = [f for f in range(base.n_flats)
               if f not in (base.bottom, base.top)]
     nonzero = 0
@@ -534,9 +536,23 @@ def test_structure_maps_skip_what_they_would_throw_away(monkeypatch):
     assert (len(diags), nonzero) == (320, 964)
     # building [f, top] before looking for a repeat, testing both factors
     # per (diagram, flat), keying the forms on labels and building an entry
-    # lattice per form gave 204, 25102, 77 and 77
+    # lattice per form gave 204, 25102, 77 and 77; a raw-form table apart
+    # from the catalog's root gave 51 forms
     assert calls == {"interval": 168, "_splits_off_base": 3052,
-                     "canonical_form": 51, "_entry_of_form": 36}
+                     "canonical_form": 50, "CatalogEntry": 36}
+
+
+def test_normalization_and_catalog_share_entries(monkeypatch):
+    # the unit, normalized before any catalog, is the catalog's root, and
+    # every basis diagram lies over a catalog entry
+    monkeypatch.setattr(mdg.diagrams, "_ALGEBRAS", {})
+    alg = algebra_for(build_partition_lattice(3))
+    unit = alg.unit()
+    assert unit.entry is catalog(alg.base, 0, 0)[0]
+    entries = {id(e) for e in catalog(alg.base, 2, 1)}
+    diags = [d for ds in alg.diagrams_within((2, 1)).values() for d in ds]
+    assert unit in diags
+    assert all(id(d.entry) in entries for d in diags)
 
 
 def test_bounded_basis_tests_the_modular_flat_rule_once_per_entry(

@@ -12,7 +12,7 @@ from mdg.errors import DegenerateCut, MismatchedBase, NotAModularCut, \
     NotGeometric, NotModularCoatom
 import mdg.extensions
 from mdg.extensions import (
-    _canonical_entry,
+    _entry_of_form,
     _valid_cuts,
     CatalogEntry,
     ModularCut,
@@ -329,6 +329,15 @@ def test_catalog_extends_cached_levels(pi3):
     assert catalog(pi3, 3, 1) != big
 
 
+def test_catalog_shares_entries_across_extra_rank_bounds():
+    # one entry per (base, certificate), whichever bound reached it first
+    pi3 = build_corpus_lattice("pi3")
+    low = {e.certificate: e for e in catalog(pi3, 3, 1)}
+    high = {e.certificate: e for e in catalog(pi3, 3, 2)}
+    assert len(high) > len(low) > 1 and low.keys() <= high.keys()
+    assert all(low[c] is high[c] for c in low)
+
+
 def test_enumerate_entries_are_valid(pi3):
     for ext in enumerate_modular_extensions(pi3, 3, 1):
         ext.validate()
@@ -482,7 +491,11 @@ def test_valid_cuts_include_cuts_needing_four_generators(pi3):
 def _unpruned_catalog(base, max_new_atoms, max_extra_rank):
     """The catalog without cut-orbit pruning: every cut of every parent, in
     order, is canonicalized, and the first entry per certificate is kept."""
-    levels = [[_canonical_entry(base, base)[0]]]
+    def entry_of(lat):
+        return _entry_of_form(base, lat, mdg.extensions.canonical_form(
+            lat, fixed_atoms=base.atoms))
+
+    levels = [[entry_of(base)]]
     for _ in range(max_new_atoms):
         nxt = {}
         for entry in levels[-1]:
@@ -492,7 +505,7 @@ def _unpruned_catalog(base, max_new_atoms, max_extra_rank):
             for members in cuts:
                 child, _ = single_element_extension(
                     entry.lat, ModularCut(entry.lat, members), "@new")
-                cand, _ = _canonical_entry(child, base)
+                cand = entry_of(child)
                 nxt.setdefault(cand.certificate, cand)
         levels.append([nxt[c] for c in sorted(nxt)])
     return [e for lvl in levels for e in lvl]
