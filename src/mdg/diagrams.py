@@ -160,11 +160,7 @@ class DiagramAlgebra:
             base_img = _atoms_mask(atom_map)
             word_mask = _atoms_mask(word_positions)
         # the lattice rules come before the canonical search, which is dearer
-        top_mask = lat.flat_masks[lat.closure(base_img)]
-        above = (f for f, m in enumerate(lat.flat_masks)
-                 if m & top_mask == top_mask)
-        if (_splits_off_base(lat, base_img, 0, lat.flat_masks[lat.top])
-                or _modular_flat_kills(lat, word_mask, above)):
+        if _lattice_kills(lat, base_img, word_mask):
             return 0, ZERO
         entry, perm = entry_for(self.base, lat, tuple(atom_map))
         if entry.has_odd_aut:
@@ -454,17 +450,11 @@ class DiagramAlgebra:
         blocks = {}
         for entry in catalog(self.base, *bounds[:2]):
             lat = entry.lat
-            base_mask = entry.base_mask
-            if entry.has_odd_aut or _splits_off_base(
-                    lat, base_mask, 0, lat.flat_masks[lat.top]):
-                continue
             # a flat above the base top holds every base atom, so the
             # modular-flat rule reads the new atoms only
-            new_mask = ((1 << lat.n_atoms) - 1) ^ base_mask
-            top_mask = lat.flat_masks[entry.top]
-            above = (f for f, m in enumerate(lat.flat_masks)
-                     if m & top_mask == top_mask)
-            if _modular_flat_kills(lat, new_mask, above):
+            new_mask = ((1 << lat.n_atoms) - 1) ^ entry.base_mask
+            if entry.has_odd_aut or _lattice_kills(lat, entry.base_mask,
+                                                   new_mask):
                 continue
             for smask in range(1 << entry.n_base):
                 word = tuple(_mask_atoms(new_mask | smask))
@@ -587,18 +577,22 @@ def _cover_repeats(entry: CatalogEntry, f, out_mask):
     return False
 
 
-def _modular_flat_kills(lat, word_mask, above):
-    """Whether a modular flat among ``above`` (the flats above the closure
-    of the base image) has exactly two word atoms outside it.
+def _lattice_kills(lat, base_mask, word_mask):
+    """Whether a lattice rule kills the word ``word_mask`` over ``lat``,
+    which it spans with the base image ``base_mask``."""
+    return (_splits_off_base(lat, base_mask, 0, lat.flat_masks[lat.top])
+            or _modular_flat_kills(lat, base_mask, word_mask))
 
-    ``lat`` is spanned by the base image and the word.  A flat above the
-    base image with exactly one word atom outside is then a hyperplane
-    whose complement is a coloop, a factor missing the base, so
-    ``_splits_off_base`` has already killed the word.
-    """
+
+def _modular_flat_kills(lat, base_mask, word_mask):
+    """Whether a modular flat above the base image has exactly two word
+    atoms outside it.  With one, the flat is a hyperplane whose complement
+    is a coloop, a factor missing the base that ``_splits_off_base`` finds."""
     masks = lat.flat_masks
-    return any((word_mask & ~masks[f]).bit_count() == 2
-               and is_modular(lat, f) for f in above)
+    top_mask = masks[lat.closure(base_mask)]
+    return any(m & top_mask == top_mask
+               and (word_mask & ~m).bit_count() == 2
+               and is_modular(lat, f) for f, m in enumerate(masks))
 
 
 def _first_atoms(pos, n):

@@ -309,7 +309,8 @@ class CatalogEntry:
     """
 
     __slots__ = ("lat", "n_base", "certificate", "top", "automorphisms",
-                 "has_odd_aut", "atom_flats", "live_flats")
+                 "has_odd_aut", "atom_flats", "live_flats", "children",
+                 "coloop")
 
     def __init__(self, lat, n_base, certificate, top, automorphisms):
         self.lat = lat
@@ -326,6 +327,8 @@ class CatalogEntry:
         self.atom_flats = tuple(lat.flat_index[1 << i]
                                 for i in range(lat.n_atoms))
         self.live_flats = None  # filled by diagrams._live_flats
+        self.children = None    # filled by _children
+        self.coloop = None      # filled by catalog
 
     @property
     def level(self):
@@ -347,10 +350,10 @@ class CatalogEntry:
 
 
 def _tables(base):
-    """The base's catalog levels, entries and raw forms, made on first use."""
+    """The base's entries and raw forms, made on first use."""
     tables = base._extensions
     if tables is None:
-        tables = base._extensions = ({}, {}, {})
+        tables = base._extensions = ({}, {})
     return tables
 
 
@@ -358,7 +361,7 @@ def entry_for(base, lat, fixed):
     """The base's entry for an extension with the base atoms at positions
     ``fixed``, and the relabeling into it, keyed on what the canonical form
     reads: the flat masks (which set the ranks) and the positions."""
-    raw = _tables(base)[2]
+    raw = _tables(base)[1]
     key = (lat.flat_masks, fixed)
     hit = raw.get(key)
     if hit is None:
@@ -372,7 +375,7 @@ def _entry_of_form(base, lat, cf):
     from ``lat`` relabeled by its canonical form ``cf``: the base prefix is
     fixed and the new atoms, in canonical order, are named e1, e2, ...
     (skipping used labels)."""
-    entries = _tables(base)[1]
+    entries = _tables(base)[0]
     entry = entries.get(cf.certificate)
     if entry is not None:
         return entry
@@ -534,64 +537,59 @@ def catalog(base: GeometricLattice, max_new_atoms: int, max_extra_rank: int):
     """All modular extensions of the base within the bounds, canonical and
     deduplicated, ordered by (new-atom count, certificate).
 
-    The levels (one per new-atom count) are kept on ``base`` per extra-rank
-    bound, so a larger atom bound extends the levels already built; every
-    bound shares the base's entries, one per certificate.  Each level
-    canonicalizes one cut per orbit of its parent's automorphisms (see
-    ``_next_level``).  Negative bounds raise ``ValueError``.
+    One walk from the base's root: each level is the children of the last,
+    and the extra-rank bound only withholds coloop children.  Entries keep
+    their children for every bound.  Negative bounds raise ``ValueError``.
     """
     if base.is_trivial:
         raise NotGeometric("extensions of the one-point lattice are not defined")
     if max_new_atoms < 0 or max_extra_rank < 0:
         raise ValueError("catalog bounds must be nonnegative")
-    by_bound = _tables(base)[0]
-    levels = by_bound.get(max_extra_rank)
-    if levels is None:
-        root, _ = entry_for(base, base, tuple(range(base.n_atoms)))
-        levels = by_bound[max_extra_rank] = [[root]]
-    while len(levels) <= max_new_atoms:
-        levels.append(_next_level(base, levels[-1], max_extra_rank))
-    return [e for lvl in levels[:max_new_atoms + 1] for e in lvl]
+    level = [entry_for(base, base, tuple(range(base.n_atoms)))[0]]
+    found = list(level)
+    for _ in range(max_new_atoms):
+        nxt = {}
+        for entry in level:
+            # the coloop child first, in the unpruned walk's order
+            if entry.extra_rank < max_extra_rank:
+                if entry.coloop is None:
+                    entry.coloop = _child(base, entry.lat, frozenset())
+                nxt[entry.coloop.certificate] = entry.coloop
+            for child in _children(base, entry):
+                nxt[child.certificate] = child
+        level = [nxt[c] for c in sorted(nxt)]
+        found += level
+    return found
 
 
-def _next_level(base, entries, max_extra_rank):
-    """The canonical children of ``entries`` with one more atom, sorted by
-    certificate.
-
-    Each parent's cuts are walked in order, the coloop's empty cut first,
-    and only the first cut of each orbit under the parent's automorphisms
-    is canonicalized.  Those automorphisms fix the base prefix pointwise,
-    so an automorphism mapping one cut onto another extends, with the new
-    atom fixed, to an isomorphism of the two children fixing the base:
-    they share a certificate.  The first cut to reach a certificate is
-    never skipped, so on a fresh base every entry, generators included, is
-    the one an unpruned walk keeps.  A reused entry's generators come from
-    the first lattice that reached its certificate on this base; the
-    pruning and ``has_odd_aut`` read only their group.
-    """
-    nxt = {}
-    for entry in entries:
+def _children(base, entry):
+    """The entry's children along its nonempty cuts, one per cut orbit
+    under its automorphisms, kept on the entry.  These fix the base, so
+    cuts in one orbit give children of one certificate; the first cut of
+    an orbit is never skipped, so on a fresh base each entry, generators
+    included, is the one an unpruned walk keeps."""
+    if entry.children is None:
         lat = entry.lat
         # each automorphism as a map on flat indices
         flat_auts = [tuple(lat.flat_index[m]
                            for m in _move_masks(lat.flat_masks, a))
                      for a in entry.automorphisms]
-        cuts = _valid_cuts(entry)
-        if entry.extra_rank < max_extra_rank:
-            cuts = itertools.chain((frozenset(),), cuts)
         seen = set()
-        for members in cuts:
-            if members in seen:
-                continue
-            seen |= _orbits([members], flat_auts)
-            # _valid_cuts yields modular cuts only, so the cut is built
-            # without modular_cut's check; the empty cut adds a coloop,
-            # which raises the rank by one
-            child, _ = single_element_extension(
-                lat, ModularCut(lat, members), "@new")
-            cf = canonical_form(child, fixed_atoms=base.atoms)
-            nxt[cf.certificate] = _entry_of_form(base, child, cf)
-    return [nxt[c] for c in sorted(nxt)]
+        children = []
+        for members in _valid_cuts(entry):
+            if members not in seen:
+                seen |= _orbits([members], flat_auts)
+                children.append(_child(base, lat, members))
+        entry.children = tuple(children)
+    return entry.children
+
+
+def _child(base, lat, members):
+    """The base's entry for the extension of ``lat`` along the modular cut
+    ``members``, which is not checked; the empty cut adds a coloop."""
+    child, _ = single_element_extension(lat, ModularCut(lat, members), "@new")
+    return _entry_of_form(base, child,
+                          canonical_form(child, fixed_atoms=base.atoms))
 
 
 def enumerate_modular_extensions(base: GeometricLattice, max_new_atoms: int,

@@ -128,7 +128,7 @@ class GeometricLattice:
         self.flat_index = {m: i for i, m in enumerate(masks)}
         self._covers_up = None
         self._factor_supports = None
-        self._intervals = {}    # (lo, hi) -> interval_at(self, lo, hi)
+        self._intervals = None  # (lo, hi) -> interval_at(self, lo, hi)
         self._extensions = None  # catalog and entry tables (extensions)
         self._os = None         # Orlik-Solomon context (os_algebra)
 
@@ -628,6 +628,8 @@ def interval_at(lat: GeometricLattice, lo: int, hi: int):
     None when lo v a is not an atom of the interval (a lies below lo, or
     lo v a does not lie below hi).
     """
+    if lat._intervals is None:
+        lat._intervals = {}
     hit = lat._intervals.get((lo, hi))
     if hit is None:
         sub, to_parent, from_parent = interval(lat, lo, hi)

@@ -318,7 +318,7 @@ def test_catalog_not_shared_after_id_reuse():
 
 
 def test_catalog_extends_cached_levels(pi3):
-    # a larger atom bound extends the levels built for a smaller one
+    # a larger atom bound walks on from the entries a smaller one reached
     small = catalog(pi3, 2, 2)
     big = catalog(pi3, 3, 2)
     assert len(big) > len(small)
@@ -549,6 +549,35 @@ def test_catalog_canonicalizes_one_cut_per_orbit(monkeypatch):
     calls = _count_canonical_forms(monkeypatch)
     catalog(build_corpus_lattice("pi4"), 4, 2)
     assert calls[0] == 209
+
+
+def test_catalog_bounds_share_the_children_they_build(monkeypatch):
+    # a larger extra-rank bound adds only the coloop children the smaller
+    # one withheld, so the two make the cold (4,2) count, and a bound
+    # inside those walked builds no child at all
+    calls = _count_canonical_forms(monkeypatch)
+    pi4 = build_corpus_lattice("pi4")
+    catalog(pi4, 4, 1)
+    catalog(pi4, 4, 2)
+    assert calls[0] == 209
+    catalog(pi4, 3, 1)
+    catalog(pi4, 4, 2)
+    assert calls[0] == 209
+
+
+@pytest.mark.parametrize("low_first", [False, True], ids=["high", "low"])
+@pytest.mark.parametrize("name", ["pi3", "pi4", "b3", "plane8"])
+def test_extra_rank_bound_filters_the_larger_catalog(name, low_first):
+    # a cut child keeps its parent's extra rank, so the entries within a
+    # smaller bound are the larger catalog's, in its order
+    base = build_corpus_lattice(name)
+    if low_first:
+        low = catalog(base, 3, 1)
+    high = catalog(base, 3, 2)
+    if not low_first:
+        low = catalog(base, 3, 1)
+    want = [e for e in high if e.extra_rank <= 1]
+    assert len(low) == len(want) and all(a is b for a, b in zip(low, want))
 
 
 def test_catalog_rejects_negative_bounds():

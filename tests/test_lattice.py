@@ -370,6 +370,15 @@ def test_merge_sign_counts_inversions():
                 == (-1) ** inversions)
 
 
+def test_lattice_tables_are_made_on_first_use():
+    # most lattices are short-lived intervals and connections that never
+    # ask for an interval, an extension or the OS algebra
+    for name in corpus_names():
+        lat = build_corpus_lattice(name)
+        assert (lat._intervals, lat._extensions, lat._os) == \
+            (None, None, None), name
+
+
 def test_corpus_graph_edges_build_the_graphic_lattices():
     graphic = [name for name in corpus_names() if graph_edges(name) is not None]
     assert graphic == ["pi2", "pi3", "pi4", "pi5", "c4", "c5", "k4",
