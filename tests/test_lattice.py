@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -387,3 +388,44 @@ def test_corpus_graph_edges_build_the_graphic_lattices():
         lat = build_corpus_lattice(name)
         assert same_lattice(lat, build_from_graph(graph_edges(name)))
     assert graph_edges("plane8") is None
+
+
+def _sublattice_lines():
+    # one line per interval of a comparable flat pair and per restriction to
+    # an atom subset (lattices with at most 8 atoms), over the corpus;
+    # supports are sorted, as their repr order depends on the hash seed
+    def text(sub):
+        supports = ";".join(",".join(sorted(s)) for s in sub.atom_supports)
+        return f"{sub.atoms}|{sub.flat_masks}|{sub.ranks}|{supports}"
+
+    for name in corpus_names():
+        lat = build_corpus_lattice(name)
+        for lo, hi in itertools.product(range(lat.n_flats), repeat=2):
+            if not lat.leq(lo, hi):
+                continue
+            sub, to_parent, from_parent, pos = interval_at(lat, lo, hi)
+            ref, ref_to, ref_from = interval(lat, lo, hi)
+            assert (text(ref), ref_to, ref_from) == \
+                (text(sub), to_parent, from_parent)
+            yield (f"{name}[{lo},{hi}]|{text(sub)}|{to_parent}|"
+                   f"{sorted(from_parent.items())}|{pos}\n")
+        if lat.n_atoms > 8:
+            continue
+        for subset in range(1 << lat.n_atoms):
+            # labels in reverse order: the sublattice keeps the parent's
+            labels = [lat.atoms[i] for i in reversed(range(lat.n_atoms))
+                      if subset >> i & 1]
+            sub, emb = restriction(lat, labels)
+            assert emb.source is sub and emb.target is lat
+            yield f"{name}|{subset}|{text(sub)}|{emb.atom_map}\n"
+
+
+SUBLATTICE_GOLDEN = (
+    "fd030e18ddc2460c434979991cf26da773ae88b8b31dccb454add4e749b25fed")
+
+
+def test_intervals_and_restrictions_match_golden_digest():
+    h = hashlib.sha256()
+    for line in _sublattice_lines():
+        h.update(line.encode())
+    assert h.hexdigest() == SUBLATTICE_GOLDEN
