@@ -32,10 +32,10 @@ from .errors import (
 )
 from .extensions import CatalogEntry, ModularExtension, catalog, entry_for
 from .lattice import (Embedding, GeometricLattice, _atoms_mask, _check_flats,
-                      _mask_atoms, _merge_sign, _word_sign, interval_at,
-                      parallel_connection, restriction, same_lattice)
+                      _mask_atoms, _merge_sign, _restrict, _word_sign,
+                      interval_at, parallel_connection, same_lattice)
 from .modularity import is_modular
-from .os_algebra import OSElement, reduce_to_nbc
+from .os_algebra import OSElement, os_context
 
 
 ZERO = None  # sentinel for normalized-to-zero
@@ -152,11 +152,9 @@ class DiagramAlgebra:
         if lat.ranks[lat.closure(needed)] < lat.rank:
             return 0, ZERO  # word and base do not span the top
         if needed != (1 << lat.n_atoms) - 1:
-            keep = [lat.atoms[i] for i in _mask_atoms(needed)]
-            lat, emb = restriction(lat, keep)
-            back = {p: i for i, p in enumerate(emb.atom_map)}
-            atom_map = tuple(back[p] for p in atom_map)
-            word_positions = tuple(back[p] for p in word_positions)
+            lat, pos = _restrict(lat, needed)
+            atom_map = tuple(pos[p] for p in atom_map)
+            word_positions = tuple(pos[p] for p in word_positions)
             base_img = _atoms_mask(atom_map)
             word_mask = _atoms_mask(word_positions)
         # the lattice rules come before the canonical search, which is dearer
@@ -309,14 +307,16 @@ class DiagramAlgebra:
             vec = Combination().add_term(1, diag_or_vec)
         else:
             vec = diag_or_vec
-        out = OSElement.zero(self.base)
+        reduce_set = os_context(self.base).reduce_set
+        out = {}
         for d, c in vec.coeffs.items():
             self._own(d)
             if any(p >= d.entry.n_base for p in d.word):
                 continue  # some word atom is contractible: maps to zero
-            labels = [self.base.atoms[p] for p in d.word]
-            out = out + reduce_to_nbc(self.base, labels).scale(c)
-        return out
+            # a sorted word of base atoms, at their base positions
+            for m, c2 in reduce_set(_atoms_mask(d.word)).items():
+                out[m] = out.get(m, 0) + c * c2
+        return OSElement.from_dict(self.base, out)
 
     # ------------------------------------------------------------------
     # cooperadic coproduct
@@ -409,13 +409,10 @@ class DiagramAlgebra:
         lowL, _, _, low_pos = interval_at(self.base, self.base.bottom, flat)
         low_alg = algebra_for(lowL)
         lat = diag.entry.lat
-        base_mask = self.base.flat_masks[flat]
-        keep = [lat.atoms[i]
-                for i in _mask_atoms(base_mask | _atoms_mask(diag.word))]
-        sub, emb = restriction(lat, keep)
-        back = {p: i for i, p in enumerate(emb.atom_map)}
-        atom_map = tuple(back[a] for a in _first_atoms(low_pos, lowL.n_atoms))
-        word = tuple(back[p] for p in diag.word)
+        sub, pos = _restrict(lat, self.base.flat_masks[flat]
+                             | _atoms_mask(diag.word))
+        atom_map = tuple(pos[a] for a in _first_atoms(low_pos, lowL.n_atoms))
+        word = tuple(pos[p] for p in diag.word)
         return low_alg.normalize_raw(sub, atom_map, word)
 
     def grading_extend(self, flat: int, low_diag: Diagram):
@@ -487,12 +484,11 @@ class DiagramAlgebra:
         new_atoms, extra_rank = bounds      # a pair: no third slot here
         bounds = (new_atoms, extra_rank)
         grading_rank = self.base.ranks[grading]
+        # never empty: the word of the grading's own atoms over the base
+        # itself is a diagram of that grading at every bound
         blocks = {deg: diags
                   for (g, deg), diags in self.diagrams_within(bounds).items()
                   if g == grading}
-        if not blocks:
-            return CohomologyBlock(grading, bounds, {}, {}, {}, {},
-                                   grading_rank, {})
         dims = {deg: len(ds) for deg, ds in blocks.items()}
         pos = {d: i for ds in blocks.values() for i, d in enumerate(ds)}
         degrees = range(min(dims), max(dims) + 1)

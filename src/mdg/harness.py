@@ -16,7 +16,7 @@ from .diagrams import (
     determining_bounds,
     stable_degrees,
 )
-from .lattice import GeometricLattice, interval_at, restriction
+from .lattice import GeometricLattice, _atoms_mask, _restrict, interval_at
 from .modularity import (
     is_supersolvable,
     modular_characterizations_agree,
@@ -393,12 +393,9 @@ def _refactors(alg, diag) -> bool:
         vec = term if vec is None else alg.product_vectors(vec, term)
     for k in sorted(factor_of_new):
         word = factor_of_new[k]
-        keep = [lat.atoms[i] for i in range(nb)] + \
-            [lat.atoms[p] for p in word]
-        sub_lat, emb = restriction(lat, keep)
-        back = {q: i for i, q in enumerate(emb.atom_map)}
-        s, dfac = alg.normalize_raw(sub_lat, tuple(back[i] for i in range(nb)),
-                                    tuple(back[p] for p in word))
+        sub_lat, pos = _restrict(lat, (1 << nb) - 1 | _atoms_mask(word))
+        s, dfac = alg.normalize_raw(sub_lat, tuple(range(nb)),
+                                    tuple(pos[p] for p in word))
         if dfac is ZERO:
             return False
         term = Combination().add_term(s, dfac)

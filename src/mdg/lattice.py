@@ -232,13 +232,19 @@ class GeometricLattice:
     def is_trivial(self) -> bool:
         return len(self.flat_masks) == 1
 
-    def flat_of_atoms(self, labels) -> int:
-        """Flat index of an exact atom set given by labels."""
+    def _mask_of(self, labels) -> int:
+        """The atom mask of the given labels, each read once."""
         mask = 0
         for lab in labels:
             if lab not in self.atom_index:
                 raise ForeignFlat(f"unknown atom {lab!r}")
             mask |= 1 << self.atom_index[lab]
+        return mask
+
+    def flat_of_atoms(self, labels) -> int:
+        """Flat index of an exact atom set given by labels."""
+        labels = list(labels)
+        mask = self._mask_of(labels)
         if mask not in self.flat_index:
             raise ForeignFlat(f"{sorted(labels)!r} is not a flat")
         return self.flat_index[mask]
@@ -540,31 +546,25 @@ def _check_flats(lat, *flats):
 
 def restriction(lat: GeometricLattice, atom_labels, *, name=None):
     """Sublattice of joins of the given atoms, with the inclusion embedding."""
-    atom_labels = list(atom_labels)     # read once: it may be a generator
-    for a in atom_labels:
-        if a not in lat.atom_index:
-            raise ForeignFlat(f"unknown atom {a!r}")
-    wanted = set(atom_labels)
-    chosen = [a for a in lat.atoms if a in wanted]
-    positions = [lat.atom_index[a] for a in chosen]
-    sel_mask = _atoms_mask(positions)
-    pos_of = {p: i for i, p in enumerate(positions)}
+    mask = lat._mask_of(atom_labels)
+    sub, _ = _restrict(lat, mask, name=name)
+    return sub, Embedding(sub, lat, tuple(_mask_atoms(mask)))
 
-    masks = {}
-    for f, m in enumerate(lat.flat_masks):
-        t = m & sel_mask
-        nm = 0
-        for p in _mask_atoms(t):
-            nm |= 1 << pos_of[p]
-        r = lat.rank_of_mask(t)
-        prev = masks.get(nm)
-        if prev is None or r < prev:
-            masks[nm] = r
-    sub = GeometricLattice(tuple(chosen), masks.keys(), ranks=masks,
-                           atom_supports=tuple(lat.atom_supports[p] for p in positions),
+
+def _restrict(lat: GeometricLattice, mask: int, *, name=None):
+    """The sublattice of joins of the atoms in ``mask`` (the flats of the
+    restriction are the flats' traces on ``mask``) and ``pos``: the
+    position in it of each atom of ``lat`` in ``mask``, else None."""
+    pos = [None] * lat.n_atoms
+    for i, p in enumerate(_mask_atoms(mask)):
+        pos[p] = i
+    traces = list({m & mask for m in lat.flat_masks})
+    ranks = dict(zip(_move_masks(traces, pos), map(lat.rank_of_mask, traces)))
+    sub = GeometricLattice(lat._labels(mask), ranks.keys(), ranks=ranks,
+                           atom_supports=[lat.atom_supports[p]
+                                          for p in _mask_atoms(mask)],
                            validate=False, name=name)
-    emb = Embedding(sub, lat, tuple(positions))
-    return sub, emb
+    return sub, pos
 
 
 def interval(lat: GeometricLattice, f1: int, f2: int):
@@ -576,47 +576,7 @@ def interval(lat: GeometricLattice, f1: int, f2: int):
     labeled by its root-atom support above f1 (a bare atom label when the
     difference is a single root atom).
     """
-    _check_flats(lat, f1, f2)
-    if not lat.leq(f1, f2):
-        raise NotComparable("interval endpoints are not comparable")
-    m1, m2 = lat.flat_masks[f1], lat.flat_masks[f2]
-    members = [f for f, m in enumerate(lat.flat_masks)
-               if m & m1 == m1 and m | m2 == m2]
-    r1 = lat.ranks[f1]
-    atoms_parent = [f for f in members if lat.ranks[f] == r1 + 1]
-    atoms_parent.sort(key=lambda f: lat.flat_masks[f])
-    bottom_support = lat.support_of(f1)
-
-    labels = []
-    supports = []
-    for f in atoms_parent:
-        diff = lat.support_of(f) - bottom_support
-        lab = ",".join(sorted(diff))
-        if len(diff) > 1:
-            lab = f"({lab})"
-        labels.append(lab)
-        supports.append(diff)
-    order = sorted(range(len(labels)), key=lambda i: labels[i])
-    atoms_parent = [atoms_parent[i] for i in order]
-    labels = [labels[i] for i in order]
-    supports = [supports[i] for i in order]
-
-    masks = {}
-    ranks = {}
-    to_parent = {}
-    for f in members:
-        fm = lat.flat_masks[f]
-        nm = 0
-        for i, af in enumerate(atoms_parent):
-            if lat.flat_masks[af] | fm == fm:
-                nm |= 1 << i
-        masks[nm] = f
-        ranks[nm] = lat.ranks[f] - r1
-    sub = GeometricLattice(tuple(labels), masks.keys(), ranks=ranks,
-                           atom_supports=supports, validate=False)
-    to_parent_list = [masks[sub.flat_masks[i]] for i in range(sub.n_flats)]
-    from_parent = {p: i for i, p in enumerate(to_parent_list)}
-    return sub, to_parent_list, from_parent
+    return _interval(lat, f1, f2)[:3]
 
 
 def interval_at(lat: GeometricLattice, lo: int, hi: int):
@@ -632,17 +592,44 @@ def interval_at(lat: GeometricLattice, lo: int, hi: int):
         lat._intervals = {}
     hit = lat._intervals.get((lo, hi))
     if hit is None:
-        sub, to_parent, from_parent = interval(lat, lo, hi)
-        # an atom outside lo lies in exactly one cover of lo, namely lo v a
-        lo_mask = lat.flat_masks[lo]
-        pos = [None] * lat.n_atoms
-        for i in range(sub.n_atoms):
-            cover = lat.flat_masks[to_parent[sub.flat_index[1 << i]]]
-            for a in _mask_atoms(cover & ~lo_mask):
-                pos[a] = i
-        hit = (sub, to_parent, from_parent, tuple(pos))
-        lat._intervals[lo, hi] = hit
+        hit = lat._intervals[lo, hi] = _interval(lat, lo, hi)
     return hit
+
+
+def _interval(lat: GeometricLattice, lo: int, hi: int):
+    """The one builder of intervals: (sub, to_parent, from_parent, pos) as
+    ``interval_at`` describes them, after checking the endpoints."""
+    _check_flats(lat, lo, hi)
+    if not lat.leq(lo, hi):
+        raise NotComparable("interval endpoints are not comparable")
+    masks, ranks = lat.flat_masks, lat.ranks
+    lo_mask, hi_mask = masks[lo], masks[hi]
+    members = [f for f, m in enumerate(masks)
+               if m & lo_mask == lo_mask and m | hi_mask == hi_mask]
+    lo_support = lat.support_of(lo)
+    covers = []         # (label, support above lo, mask) per interval atom
+    for f in members:
+        if ranks[f] == ranks[lo] + 1:
+            diff = lat.support_of(f) - lo_support
+            label = ",".join(sorted(diff))
+            covers.append((label if len(diff) == 1 else f"({label})", diff,
+                           masks[f]))
+    covers.sort(key=lambda c: (c[0], c[2]))
+    # an atom outside lo lies in exactly one cover of lo, namely lo v a
+    pos = [None] * lat.n_atoms
+    for i, (_, _, m) in enumerate(covers):
+        for a in _mask_atoms(m & ~lo_mask):
+            pos[a] = i
+    parent = dict(zip(_move_masks([masks[f] & ~lo_mask for f in members], pos),
+                      members))
+    sub = GeometricLattice(tuple(c[0] for c in covers), parent.keys(),
+                           ranks={m: ranks[f] - ranks[lo]
+                                  for m, f in parent.items()},
+                           atom_supports=[c[1] for c in covers],
+                           validate=False)
+    to_parent = [parent[m] for m in sub.flat_masks]
+    return (sub, to_parent, {p: i for i, p in enumerate(to_parent)},
+            tuple(pos))
 
 
 def parallel_connection(l1: GeometricLattice, pos1, l2: GeometricLattice, pos2,
@@ -694,10 +681,8 @@ def irreducible_factors(lat: GeometricLattice):
     factors = []
     partition = []
     for s in supports:
-        labels = [lat.atoms[i] for i in _mask_atoms(s)]
-        sub, _ = restriction(lat, labels)
-        factors.append(sub)
-        partition.append(tuple(labels))
+        factors.append(_restrict(lat, s)[0])
+        partition.append(lat._labels(s))
         # rank additivity certificate of the split
         assert lat.rank_of_mask(s) + lat.rank_of_mask(((1 << lat.n_atoms) - 1) & ~s) \
             == lat.rank or len(supports) == 1

@@ -40,29 +40,15 @@ def modular_characterizations_agree(lat: GeometricLattice, f: int) -> bool:
     _check_flats(lat, f)
     rank_form = is_modular(lat, f)
 
+    flats = range(lat.n_flats)
+    meets = [lat.meet(f, b) for b in flats]     # F ∧ B, which is B ∧ F
+    joins = [lat.join(a, f) for a in flats]     # A ∨ F
     # F ∧ (A ∨ B) == A ∨ (F ∧ B) for all A <= F and all B
-    dist1 = True
-    for a in range(lat.n_flats):
-        if not lat.leq(a, f):
-            continue
-        for b in range(lat.n_flats):
-            if lat.meet(f, lat.join(a, b)) != lat.join(a, lat.meet(f, b)):
-                dist1 = False
-                break
-        if not dist1:
-            break
-
+    dist1 = all(lat.meet(f, lat.join(a, b)) == lat.join(a, meets[b])
+                for a in flats if lat.leq(a, f) for b in flats)
     # B ∧ (A ∨ F) == A ∨ (B ∧ F) for all A <= B
-    dist2 = True
-    for a in range(lat.n_flats):
-        for b in range(lat.n_flats):
-            if not lat.leq(a, b):
-                continue
-            if lat.meet(b, lat.join(a, f)) != lat.join(a, lat.meet(b, f)):
-                dist2 = False
-                break
-        if not dist2:
-            break
+    dist2 = all(lat.meet(b, joins[a]) == lat.join(a, meets[b])
+                for a in flats for b in flats if lat.leq(a, b))
     return rank_form == dist1 == dist2
 
 

@@ -8,7 +8,7 @@ import mdg.extensions
 import mdg.lattice
 
 from conftest import grading_extension_lattice, perm_parity
-from mdg.corpus import build_corpus_lattice
+from mdg.corpus import build_corpus_lattice, corpus_names
 from mdg.diagrams import (
     Combination,
     DiagramAlgebra,
@@ -519,7 +519,7 @@ def test_structure_maps_skip_what_they_would_throw_away(monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     monkeypatch.setattr(mdg.diagrams, "_ALGEBRAS", {})
-    count(mdg.lattice, "interval")
+    count(mdg.lattice, "_interval")
     count(mdg.diagrams, "_splits_off_base")
     base = build_partition_lattice(4)
     alg = algebra_for(base)
@@ -538,7 +538,7 @@ def test_structure_maps_skip_what_they_would_throw_away(monkeypatch):
     # per (diagram, flat), keying the forms on labels and building an entry
     # lattice per form gave 204, 25102, 77 and 77; a raw-form table apart
     # from the catalog's root gave 51 forms
-    assert calls == {"interval": 168, "_splits_off_base": 3052,
+    assert calls == {"_interval": 168, "_splits_off_base": 3052,
                      "canonical_form": 50, "CatalogEntry": 36}
 
 
@@ -941,3 +941,37 @@ def test_internal_constructions_revalidate(pi3, pi4):
     big = grading_extension_lattice(alg, diag.grading, low)
     assert big.n_atoms > pi4.n_atoms
     assert GeometricLattice(big.atoms, big.flat_masks).ranks == big.ranks
+
+
+def test_module_helpers_agree_with_the_algebra(pi3):
+    # the module-level operation surface gives what the algebra's methods do
+    alg = algebra_for(pi3)
+    diags = [d for ds in alg.diagrams_within((3, 1)).values() for d in ds]
+    proper = [f for f in range(pi3.n_flats) if f not in (pi3.bottom, pi3.top)]
+    ext = identity_extension(pi3)
+    assert mdg.diagrams.normalize(ext, ["1-3", "1-2"]) == \
+        alg.normalize(ext, ["1-3", "1-2"]) != (0, ZERO)
+    swap = Embedding(pi3, pi3, (0, 2, 1))     # vertices 1 and 2 exchanged
+    relabel = mdg.diagrams.md_relabel(swap, pi3)
+    vec = Combination()
+    for k, d in enumerate(diags):
+        vec.add_term(k + 1, d)
+        assert mdg.diagrams.differential(pi3, d) == alg.differential_diagram(d)
+        assert relabel(d) == alg.relabel(swap, d)
+        for f in proper:
+            assert mdg.diagrams.coproduct(pi3, d, f) == alg.coproduct(d, f)
+        for d2 in diags:
+            assert mdg.diagrams.product(pi3, d, d2) == alg.product(d, d2)
+    assert mdg.diagrams.differential(pi3, vec) == alg.differential(vec)
+    assert mdg.diagrams.product(pi3, vec, diags[0]) == \
+        alg.product_vectors(vec, Combination().add_term(1, diags[0]))
+    assert len(diags) == 16 and not vec.is_zero
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_every_grading_has_a_diagram_at_the_smallest_bounds(name):
+    # the word of a flat's own atoms over the base itself lies in that
+    # grading, so no grading's block is empty, even at bounds (0, 0)
+    alg = algebra_for(build_corpus_lattice(name))
+    for g in range(alg.base.n_flats):
+        assert alg.cohomology_block(g, (0, 0)).dims, (name, g)

@@ -375,3 +375,50 @@ def test_spec_file_kinds(tmp_path):
         pass
     else:
         raise AssertionError("unknown kind must raise")
+
+
+def test_cli_md_diff_and_index_errors():
+    # the one degree-1 diagram of pi3 at (3, 1) is the three new atoms; its
+    # differential contracts each in turn
+    argv = ("md", "diff", "--lattice", "pi3", "--degree", "1",
+            "--max-atoms", "3", "--max-rank", "1")
+    code, out = run_cli(*argv, "--index", "0")
+    assert code == 0
+    assert out.splitlines() == ["-1 * ['1-3', '2-3']", "1 * ['1-2', '2-3']",
+                                "-1 * ['1-2', '1-3']"]
+    code, out = run_cli(*argv, "--index", "0", "--json")
+    assert code == 0 and len(json.loads(out)["terms"]) == 3
+    for index in ("1", "-1"):
+        code, out = run_cli(*argv, "--index", index)
+        assert (code, out) == (2, "")
+
+
+def test_cli_human_reports():
+    code, out = run_cli("verify-qiso", "--lattice", "pi3")
+    lines = out.splitlines()
+    assert code == 0 and lines[0] == "lattice: pi3  bounds: (3, 2)"
+    checks = [line for line in lines if line.startswith("  [")]
+    assert len(checks) == 5 and all("[PASS]" in c for c in checks)
+    assert "  hilbert: [1, 3, 2]" in lines
+    assert lines[-1].startswith("  stable degrees: {")
+    code, out = run_cli("axioms", "--lattice", "b2")
+    lines = out.splitlines()
+    assert code == 0 and lines[0] == "lattice: b2  bounds: (3, 2)"
+    assert sum("[PASS]" in line for line in lines) == 12
+    assert lines[-1] == "  basis_size: 4"
+
+
+def test_cli_modular_supersolvable_and_koszul():
+    code, out = run_cli("modular", "--lattice", "plane8")
+    assert code == 0 and out.splitlines() == [
+        "modular flats: 12",
+        "modular coatoms: [['a', 'b', 'c', 'd'], ['a', \"b'\", \"c'\", \"d'\"]]"]
+    code, out = run_cli("modular", "--lattice", "pi3", "--json")
+    assert code == 0 and json.loads(out)["modular_coatoms"] == [
+        ["1-2"], ["1-3"], ["2-3"]]
+    code, out = run_cli("supersolvable", "--lattice", "c4")
+    assert (code, out) == (0, "not supersolvable\n")
+    code, out = run_cli("supersolvable", "--lattice", "c4", "--json")
+    assert code == 0 and json.loads(out) == {"supersolvable": False}
+    code, out = run_cli("os", "koszul-series", "--lattice", "pi3")
+    assert (code, out) == (0, "pass [1, 3, 7, 15, 31, 63, 127, 255, 511]\n")
