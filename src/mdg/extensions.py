@@ -8,6 +8,7 @@ modular extensions up to base-fixing isomorphism.
 from __future__ import annotations
 
 import itertools
+import time
 from dataclasses import dataclass
 
 from .canon import _orbits, canonical_form
@@ -19,6 +20,7 @@ from .errors import (
     NotGeometric,
     NotModular,
     NotModularCoatom,
+    ResourceLimit,
 )
 from .lattice import (
     Embedding,
@@ -99,12 +101,16 @@ def single_element_extension(lat: GeometricLattice, cut: ModularCut, label: str)
             raise DegenerateCut(f"cut contains {lat.atoms_of(f)!r}")
     if label in lat.atom_index:
         raise DegenerateCut(f"label {label!r} already used")
-    masks = _extended_masks(lat, cut.members)
-    ext = GeometricLattice(lat.atoms + (label,), masks.keys(), ranks=masks,
-                           atom_supports=lat.atom_supports + (frozenset([label]),),
-                           validate=False)
+    ext = _extension_lattice(lat, _extended_masks(lat, cut.members), label)
     emb = Embedding(lat, ext, tuple(range(lat.n_atoms)))
     return ext, emb
+
+
+def _extension_lattice(lat: GeometricLattice, masks, label):
+    """The extension of ``lat`` by the atom ``label``, flats ``masks``."""
+    return GeometricLattice(lat.atoms + (label,), masks.keys(), ranks=masks,
+                            atom_supports=lat.atom_supports + (frozenset([label]),),
+                            validate=False)
 
 
 def _extended_masks(lat: GeometricLattice, members):
@@ -328,7 +334,7 @@ class CatalogEntry:
                                 for i in range(lat.n_atoms))
         self.live_flats = None  # filled by diagrams._live_flats
         self.children = None    # filled by _children
-        self.coloop = None      # filled by catalog
+        self.coloop = None      # filled by catalog, like children
 
     @property
     def level(self):
@@ -533,13 +539,16 @@ def _valid_cuts(entry: CatalogEntry):
                 stack.append(nxt)
 
 
-def catalog(base: GeometricLattice, max_new_atoms: int, max_extra_rank: int):
+def catalog(base: GeometricLattice, max_new_atoms: int, max_extra_rank: int,
+            *, deadline=None):
     """All modular extensions of the base within the bounds, canonical and
     deduplicated, ordered by (new-atom count, certificate).
 
     One walk from the base's root: each level is the children of the last,
     and the extra-rank bound only withholds coloop children.  Entries keep
     their children for every bound.  Negative bounds raise ``ValueError``.
+    Past ``deadline``, a ``time.monotonic()`` instant checked before each
+    entry's children are built, ``ResourceLimit`` is raised.
     """
     if base.is_trivial:
         raise NotGeometric("extensions of the one-point lattice are not defined")
@@ -550,11 +559,14 @@ def catalog(base: GeometricLattice, max_new_atoms: int, max_extra_rank: int):
     for _ in range(max_new_atoms):
         nxt = {}
         for entry in level:
+            if deadline is not None and time.monotonic() > deadline:
+                raise ResourceLimit("timeout exceeded in the extension catalog")
             # the coloop child first, in the unpruned walk's order
             if entry.extra_rank < max_extra_rank:
                 if entry.coloop is None:
                     entry.coloop = _child(base, entry.lat, frozenset())
-                nxt[entry.coloop.certificate] = entry.coloop
+                for child in entry.coloop:
+                    nxt[child.certificate] = child
             for child in _children(base, entry):
                 nxt[child.certificate] = child
         level = [nxt[c] for c in sorted(nxt)]
@@ -563,11 +575,10 @@ def catalog(base: GeometricLattice, max_new_atoms: int, max_extra_rank: int):
 
 
 def _children(base, entry):
-    """The entry's children along its nonempty cuts, one per cut orbit
-    under its automorphisms, kept on the entry.  These fix the base, so
-    cuts in one orbit give children of one certificate; the first cut of
-    an orbit is never skipped, so on a fresh base each entry, generators
-    included, is the one an unpruned walk keeps."""
+    """The entry's children along its nonempty cuts, kept on the entry:
+    ``_child`` of the first cut of each orbit under the entry's
+    automorphisms.  These fix the base, so cuts in one orbit give children
+    of one certificate, and ``_child`` keeps or skips all of them alike."""
     if entry.children is None:
         lat = entry.lat
         # each automorphism as a map on flat indices
@@ -575,21 +586,35 @@ def _children(base, entry):
                            for m in _move_masks(lat.flat_masks, a))
                      for a in entry.automorphisms]
         seen = set()
-        children = []
+        children = ()
         for members in _valid_cuts(entry):
             if members not in seen:
                 seen |= _orbits([members], flat_auts)
-                children.append(_child(base, lat, members))
-        entry.children = tuple(children)
+                children += _child(base, lat, members)
+        entry.children = children
     return entry.children
 
 
 def _child(base, lat, members):
     """The base's entry for the extension of ``lat`` along the modular cut
-    ``members``, which is not checked; the empty cut adds a coloop."""
-    child, _ = single_element_extension(lat, ModularCut(lat, members), "@new")
-    return _entry_of_form(base, child,
-                          canonical_form(child, fixed_atoms=base.atoms))
+    ``members`` (unchecked; empty adds a coloop), as a tuple of at most one
+    entry: none when another new atom has a larger invariant, the sorted
+    (rank, base part, new-atom count) of the flats containing it.  By
+    canonical augmentation (McKay 1998), deleting a new atom of maximal
+    invariant leaves an entry one level down whose walk builds this child."""
+    nb = base.n_atoms
+    base_mask = (1 << nb) - 1
+    masks = _extended_masks(lat, members)
+    invs = [[] for _ in range(lat.n_atoms + 1 - nb)]
+    for m, r in masks.items():
+        for a in _mask_atoms(m >> nb):
+            invs[a].append((r, m & base_mask, (m >> nb).bit_count()))
+    added = sorted(invs.pop())
+    if any(sorted(inv) > added for inv in invs):
+        return ()
+    child = _extension_lattice(lat, masks, "@new")
+    return (_entry_of_form(base, child,
+                           canonical_form(child, fixed_atoms=base.atoms)),)
 
 
 def enumerate_modular_extensions(base: GeometricLattice, max_new_atoms: int,

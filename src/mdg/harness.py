@@ -16,6 +16,7 @@ from .diagrams import (
     determining_bounds,
     stable_degrees,
 )
+from .extensions import catalog
 from .lattice import GeometricLattice, _atoms_mask, _restrict, interval_at
 from .modularity import (
     is_supersolvable,
@@ -136,6 +137,10 @@ def run_verify_qiso(lat: GeometricLattice, max_new_atoms=3, max_extra_rank=2,
     check_deadline("series checks")
     t0 = time.perf_counter()
     alg = algebra_for(lat)
+    if timeout is not None:
+        # the blocks read the children this walk keeps on the base
+        catalog(alg.base, max_new_atoms + 1, max_extra_rank,
+                deadline=start + timeout)
     lo = alg.cohomology_block(lat.top, (max_new_atoms, max_extra_rank))
     check_deadline("cohomology at the base bounds")
     hi = alg.cohomology_block(lat.top, (max_new_atoms + 1, max_extra_rank))

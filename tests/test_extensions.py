@@ -4,12 +4,12 @@ import itertools
 import pytest
 
 from conftest import (assert_geometric_bruteforce, brute_closure, flats_of,
-                      grading_extension_lattice)
+                      grading_extension_lattice, group_closure)
 from mdg.canon import canonical_form, certificates_equal
 from mdg.corpus import build_corpus_lattice, seven_point_plane
 from mdg.diagrams import ZERO, algebra_for
 from mdg.errors import DegenerateCut, MismatchedBase, NotAModularCut, \
-    NotGeometric, NotModularCoatom
+    NotGeometric, NotModularCoatom, ResourceLimit
 import mdg.extensions
 from mdg.extensions import (
     _entry_of_form,
@@ -544,25 +544,65 @@ def test_catalog_matches_the_unpruned_levels(monkeypatch, name, bounds):
 
 
 def test_catalog_canonicalizes_one_cut_per_orbit(monkeypatch):
-    # 334 cuts of pi4's catalog fall into 190 orbits; 353 canonical forms
-    # without the pruning
+    # pi4's catalog makes 353 canonical forms unpruned, 209 with the orbit
+    # skip, and one per entry now
     calls = _count_canonical_forms(monkeypatch)
     catalog(build_corpus_lattice("pi4"), 4, 2)
-    assert calls[0] == 209
+    assert calls[0] == 111
 
 
 def test_catalog_bounds_share_the_children_they_build(monkeypatch):
     # a larger extra-rank bound adds only the coloop children the smaller
     # one withheld, so the two make the cold (4,2) count, and a bound
-    # inside those walked builds no child at all
+    # inside those walked builds no child at all; 353 canonical forms
+    # unpruned, 209 with the orbit skip, one per entry now
     calls = _count_canonical_forms(monkeypatch)
     pi4 = build_corpus_lattice("pi4")
     catalog(pi4, 4, 1)
     catalog(pi4, 4, 2)
-    assert calls[0] == 209
+    assert calls[0] == 111
     catalog(pi4, 3, 1)
     catalog(pi4, 4, 2)
-    assert calls[0] == 209
+    assert calls[0] == 111
+
+
+@pytest.mark.parametrize("name", ["pi3", "b3", "b2"])
+def test_catalog_makes_one_form_per_entry_with_the_unpruned_groups(
+        monkeypatch, name):
+    # canonical augmentation reaches some entries of these catalogs (9, 5
+    # and 3 of them) from another parent than the unpruned walk does, so
+    # their automorphism generators differ, but not the groups they generate
+    want = _unpruned_catalog(build_corpus_lattice(name), 5, 2)
+    calls = _count_canonical_forms(monkeypatch)
+    got = catalog(build_corpus_lattice(name), 5, 2)
+    assert calls[0] == len(got)
+
+    def fields(e):
+        f = _entry_fields(e)
+        return f[:6] + f[7:]
+
+    assert [fields(e) for e in got] == [fields(e) for e in want]
+    for a, b in zip(got, want):
+        n = a.lat.n_atoms
+        assert group_closure(a.automorphisms, n) == \
+            group_closure(b.automorphisms, n)
+
+
+@pytest.mark.parametrize("checks", [0, 20])
+def test_catalog_deadline_stops_the_walk(monkeypatch, checks):
+    # a deadline passed before the root's children, or after 20 entries'
+    # children, raises inside the walk, and a later walk without one
+    # returns the cold catalog
+    pi5 = build_corpus_lattice("pi5")
+    with monkeypatch.context() as m:
+        clock = itertools.count()
+        m.setattr(mdg.extensions.time, "monotonic", lambda: next(clock))
+        with pytest.raises(ResourceLimit):
+            catalog(pi5, 4, 1, deadline=checks - 0.5)
+        assert next(clock) == checks + 1
+    want = catalog(build_corpus_lattice("pi5"), 4, 1)
+    assert [_entry_fields(e) for e in catalog(pi5, 4, 1)] == \
+        [_entry_fields(e) for e in want]
 
 
 @pytest.mark.parametrize("low_first", [False, True], ids=["high", "low"])
