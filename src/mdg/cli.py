@@ -175,7 +175,7 @@ def main(argv=None):
     except ResourceLimit as ex:
         print(f"resource limit: {ex}", file=sys.stderr)
         return 3
-    except MDGError as ex:
+    except (MDGError, OSError) as ex:     # OSError: an unwritable path
         print(f"input error: {ex}", file=sys.stderr)
         return 2
     except MemoryError:

@@ -1,9 +1,10 @@
 """Sparse integer matrices and their exact rank.
 
-Rank over the rationals is computed by fraction-free integer elimination
-with Markowitz-style pivoting.  ``rank_mod_prime`` gives the rank over a
-62-bit prime field, a lower bound on the rational rank, for tests and
-cross checks.
+Rank over the rationals is computed by integer row echelon form: each row
+is reduced at its lowest column against the pivot row there, by gcd
+cross-multiplication, and divided by its content after each step.
+``rank_mod_prime`` gives the rank over a 62-bit prime field, a lower bound
+on the rational rank, for tests and cross checks.
 """
 
 from __future__ import annotations
@@ -54,8 +55,27 @@ class IntegerMatrix:
 
 
 def rank(matrix: IntegerMatrix) -> int:
-    """Exact rank over the rationals."""
-    return _rank_fraction_free(matrix.entries.values())
+    """Exact rank over the rationals, by integer row echelon form."""
+    pivots = {}  # leading column -> pivot row
+    for row in matrix.entries.values():
+        while row:
+            c = min(row)
+            prow = pivots.get(c)
+            if prow is None:
+                pivots[c] = row     # may be the matrix's own row: never edited
+                break
+            g = gcd(row[c], prow[c])
+            f, e = prow[c] // g, row[c] // g
+            new = {c2: f * v for c2, v in row.items()}
+            for c2, v in prow.items():
+                nv = new.get(c2, 0) - e * v
+                if nv:
+                    new[c2] = nv
+                else:
+                    del new[c2]
+            g = gcd(*new.values())
+            row = {c2: v // g for c2, v in new.items()} if g > 1 else new
+    return len(pivots)
 
 
 def rank_mod_prime(matrix: IntegerMatrix, p: int = _PRIME_62) -> int:
@@ -80,59 +100,6 @@ def rank_mod_prime(matrix: IntegerMatrix, p: int = _PRIME_62) -> int:
     return len(pivots)
 
 
-def _rank_fraction_free(rows):
-    """Markowitz-pivoted integer elimination with per-row gcd reduction."""
-    rows = [r for r in rows if r]      # only read: each step builds new rows
-    rank_count = 0
-    while rows:
-        col_count = {}
-        for row in rows:
-            for c in row:
-                col_count[c] = col_count.get(c, 0) + 1
-        best = None
-        for i, row in enumerate(rows):
-            rlen = len(row)
-            for c, v in row.items():
-                score = (rlen - 1) * (col_count[c] - 1)
-                mag = abs(v)
-                key = (score, 0 if mag == 1 else 1, mag, i, c)
-                if best is None or key < best[0]:
-                    best = (key, i, c)
-        _, pi, pc = best
-        pivot_row = rows.pop(pi)
-        pv = pivot_row[pc]
-        rank_count += 1
-        new_rows = []
-        for row in rows:
-            ev = row.get(pc)
-            if ev is None:
-                new_rows.append(row)
-                continue
-            merged = {}
-            for c, v in row.items():
-                if c == pc:
-                    continue
-                merged[c] = v * pv
-            for c, v in pivot_row.items():
-                if c == pc:
-                    continue
-                nv = merged.get(c, 0) - ev * v
-                if nv:
-                    merged[c] = nv
-                elif c in merged:
-                    del merged[c]
-            merged = {c: v for c, v in merged.items() if v}
-            if merged:
-                g = 0
-                for v in merged.values():
-                    g = gcd(g, abs(v))
-                if g > 1:
-                    merged = {c: v // g for c, v in merged.items()}
-                new_rows.append(merged)
-        rows = new_rows
-    return rank_count
-
-
 def betti_from_ranks(dims, ranks):
     """dim H^k = dims[k] - ranks[k] - ranks[k-1]; ranks[k] is the rank of the
     map out of degree k.  ``dims`` and ``ranks`` are dicts keyed by degree."""
@@ -143,7 +110,3 @@ def betti_from_ranks(dims, ranks):
             raise InconsistentChain(f"negative Betti number at degree {k}")
         out[k] = b
     return out
-
-
-def euler_characteristic(dims):
-    return sum((-1) ** k * d for k, d in dims.items())

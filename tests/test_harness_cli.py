@@ -297,6 +297,15 @@ def test_cli_input_errors(tmp_path):
     assert code == 2
     code, _ = run_cli("os", "reduce", "--lattice", "pi3", "zz")
     assert code == 2
+    # output paths that cannot be written: a missing directory, an existing
+    # file where a directory should go, and a directory under a file
+    for argv in (["extensions", "enumerate", "--lattice", "pi3",
+                  "--out", str(tmp_path / "missing" / "x.json")],
+                 ["md", "cohomology", "--lattice", "b2", "--max-atoms", "1",
+                  "--dump-matrices", str(bad)],
+                 ["golden", "--out", str(bad / "reports")]):
+        code, _ = run_cli(*argv)
+        assert code == 2, argv
     # negative or non-numeric counts, and timeouts that are not a finite,
     # positive number of seconds, are usage errors, which argparse reports
     # by exiting with 2
