@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 
 import pytest
@@ -450,6 +451,30 @@ def test_valid_cuts_complete_against_hyperplane_subsets(name, bounds):
         assert set(got) == _oracle_cuts(entry), entry.certificate
         checked += 1
     assert checked
+
+
+# catalogs whose every entry's cuts, in the order _valid_cuts yields them,
+# CUT_SEQUENCE_GOLDEN pins (no hyperplane limit: pi4 at (3,2) has entries
+# with 18 hyperplanes)
+CUT_SEQUENCE_CATALOGS = (("pi4", (3, 2)), ("k4", (3, 2)), ("plane8", (3, 2)),
+                         ("pi3", (4, 2)), ("b3", (3, 2)))
+CUT_SEQUENCE_GOLDEN = (
+    "acf15553f4f3ce62f38913763e3d7c8a121432f5bf8566c81d7713ba50e6442b")
+
+
+def test_valid_cuts_sequence_matches_golden_digest():
+    # each entry, keyed by its certificate, then its cuts in yield order,
+    # each as its sorted flat masks
+    h = hashlib.sha256()
+    for name, bounds in CUT_SEQUENCE_CATALOGS:
+        for entry in catalog(build_corpus_lattice(name), *bounds):
+            masks = entry.lat.flat_masks
+            h.update(f"{name}{bounds}|".encode() + entry.certificate + b"\n")
+            for members in _valid_cuts(entry):
+                cut = sorted(masks[f] for f in members)
+                h.update((",".join(format(m, "x") for m in cut) + "\n")
+                         .encode())
+    assert h.hexdigest() == CUT_SEQUENCE_GOLDEN
 
 
 def _cut_closure(lat, gens):
