@@ -5,8 +5,11 @@ position) iff their certificates are equal.  The engine refines the
 colors on the atom/flat incidence structure until they are equitable and
 then searches the remaining color cells depth first, keeping the
 lexicographically least certificate and the first leaf that reaches it.
-Refinement stops at a discrete coloring or after a round that splits no
-cell: neither can change in a further round.
+A leaf is compared as its sorted list of relabeled flat masks; the
+certificate text, whose byte order ranks two different leaves, is encoded
+only for such a ranking and for the result.  Refinement stops at a
+discrete coloring or after a round that splits no cell: neither can change
+in a further round.
 
 Leaves whose certificate equals the first leaf's or the best leaf's give
 automorphisms, and these prune the search as in nauty (McKay and Piperno,
@@ -21,10 +24,10 @@ automorphisms fixing the pinned atoms.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ForeignFlat
-from .lattice import GeometricLattice, _mask_atoms
+from .lattice import GeometricLattice
 
 
 @dataclass(frozen=True)
@@ -35,23 +38,30 @@ class CanonicalForm:
     atom permutations (same convention) mapping the flat family to itself
     while fixing the pinned atoms pointwise.  They are generators, not the
     closed group: every automorphism is a product of them, and the
-    identity is never listed.
+    identity is never listed.  ``flat_masks`` are the input's flat masks
+    relabeled by ``perm``, in the input's order.
     """
 
     certificate: bytes
     perm: tuple
     automorphisms: tuple
+    flat_masks: list = field(default=None, compare=False, repr=False)
 
 
-def _incidence(lat: GeometricLattice):
-    """(rank, atoms) of every flat and the flats of every atom, in index
-    order: what refinement reads of the lattice."""
-    flats = [(lat.ranks[f], tuple(_mask_atoms(m)))
-             for f, m in enumerate(lat.flat_masks)]
+def _incidence(lat):
+    """(rank, atoms) of every flat and the flats of every atom, in the
+    order of ``lat.flat_masks``: what refinement reads of the lattice."""
+    flats = []
     atom_flats = [[] for _ in range(lat.n_atoms)]
-    for f, (_, atoms) in enumerate(flats):
-        for i in atoms:
+    for f, (r, m) in enumerate(zip(lat.ranks, lat.flat_masks)):
+        atoms = []
+        while m:
+            low = m & -m
+            i = low.bit_length() - 1
+            atoms.append(i)
             atom_flats[i].append(f)
+            m ^= low
+        flats.append((r, atoms))
     return flats, atom_flats
 
 
@@ -65,16 +75,16 @@ def _refine(incidence, colors):
     n_cells = len(set(colors))
     while n_cells < len(colors):
         flats, atom_flats = incidence
-        sigs = [(r, tuple(sorted([colors[i] for i in atoms])))
-                for r, atoms in flats]
+        color = colors.__getitem__
+        sigs = [(r, tuple(sorted(map(color, atoms)))) for r, atoms in flats]
         # ids must follow the canonical order of the signatures themselves,
         # not the enumeration order, or certificates depend on presentation
         sig_order = {s: k for k, s in enumerate(sorted(set(sigs)))}
-        flat_sig_ids = [sig_order[s] for s in sigs]
-        atom_sigs = [(c, tuple(sorted([flat_sig_ids[f] for f in fs])))
+        sig_id = list(map(sig_order.__getitem__, sigs)).__getitem__
+        atom_sigs = [(c, tuple(sorted(map(sig_id, fs))))
                      for c, fs in zip(colors, atom_flats)]
         new_ids = {s: k for k, s in enumerate(sorted(set(atom_sigs)))}
-        new_colors = tuple(new_ids[s] for s in atom_sigs)
+        new_colors = tuple(map(new_ids.__getitem__, atom_sigs))
         if len(new_ids) == n_cells:
             return new_colors
         colors, n_cells = new_colors, len(new_ids)
@@ -128,7 +138,7 @@ class _Search:
     def __init__(self, lat):
         self.lat = lat
         self.incidence = _incidence(lat)
-        self.first = None   # (certificate, perm) of the first leaf
+        self.first = None   # (sorted masks, perm, masks) of the first leaf
         self.best = None    # the first leaf with the least certificate
         self.gens = set()   # automorphisms found
         self.frames = []    # open nodes, root first: (colors, explored)
@@ -171,17 +181,20 @@ class _Search:
         self.frames.pop()
 
     def leaf(self, perm):
-        cert = _certificate_bytes(self.lat, self.incidence[0], perm)
+        bits = [1 << p for p in perm].__getitem__
+        masks = [sum(map(bits, atoms)) for _, atoms in self.incidence[0]]
+        key = sorted(masks)
         if self.first is None:
-            self.first = self.best = (cert, perm)
+            self.first = self.best = (key, perm, masks)
             return
-        if cert == self.first[0]:
+        if key == self.first[0]:
             ref = self.first[1]
-        elif cert == self.best[0]:
+        elif key == self.best[0]:
             ref = self.best[1]
         else:
-            if cert < self.best[0]:
-                self.best = (cert, perm)
+            # two different leaves: ranked by their certificate text
+            if _certificate_body(key) < _certificate_body(self.best[0]):
+                self.best = (key, perm, masks)
             return
         # perm and ref reach the same certificate, so ref^-1 . perm is an
         # automorphism
@@ -209,17 +222,17 @@ class _Search:
                 return
 
 
-def _certificate_bytes(lat, flats, perm):
-    """Certificate with atom i at perm[i]; flats as _incidence lists them."""
-    bits = [1 << p for p in perm]
-    masks = sorted(sum([bits[i] for i in atoms]) for _, atoms in flats)
-    head = (lat.n_atoms, lat.rank)
-    body = ",".join(format(m, "x") for m in masks)
-    return repr(head).encode() + b"|" + body.encode()
+def _certificate_body(masks):
+    """The certificate after its head: the sorted flat masks in hex."""
+    return ",".join([format(m, "x") for m in masks]).encode()
 
 
 def canonical_form(lat: GeometricLattice, fixed_atoms=()) -> CanonicalForm:
-    """Canonical relabeling; ``fixed_atoms`` are pinned pointwise, in order."""
+    """Canonical relabeling; ``fixed_atoms`` are pinned pointwise, in order.
+
+    Of ``lat`` the search reads ``atom_index``, ``n_atoms``, ``rank``,
+    ``flat_masks`` and ``ranks`` alone, so a flat table that was never
+    built into a lattice serves as well (the catalog's children)."""
     fixed = []
     for lab in fixed_atoms:
         if lab not in lat.atom_index:
@@ -232,8 +245,10 @@ def canonical_form(lat: GeometricLattice, fixed_atoms=()) -> CanonicalForm:
         colors[i] = k
     search = _Search(lat)
     search.node(_refine(search.incidence, tuple(colors)))
-    cert, perm = search.best
-    return CanonicalForm(cert, perm, tuple(sorted(search.gens)))
+    key, perm, masks = search.best
+    cert = (repr((lat.n_atoms, lat.rank)).encode() + b"|"
+            + _certificate_body(key))
+    return CanonicalForm(cert, perm, tuple(sorted(search.gens)), masks)
 
 
 def certificates_equal(l1: GeometricLattice, l2: GeometricLattice,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from .canon import _orbits, canonical_form
 from .errors import (
@@ -101,31 +102,26 @@ def single_element_extension(lat: GeometricLattice, cut: ModularCut, label: str)
             raise DegenerateCut(f"cut contains {lat.atoms_of(f)!r}")
     if label in lat.atom_index:
         raise DegenerateCut(f"label {label!r} already used")
-    ext = _extension_lattice(lat, _extended_masks(lat, cut.members), label)
+    masks = _extended_masks(lat, cut.members)
+    ext = GeometricLattice(
+        lat.atoms + (label,), masks, ranks=masks, validate=False,
+        atom_supports=lat.atom_supports + (frozenset([label]),))
     emb = Embedding(lat, ext, tuple(range(lat.n_atoms)))
     return ext, emb
-
-
-def _extension_lattice(lat: GeometricLattice, masks, label):
-    """The extension of ``lat`` by the atom ``label``, flats ``masks``."""
-    return GeometricLattice(lat.atoms + (label,), masks.keys(), ranks=masks,
-                            atom_supports=lat.atom_supports + (frozenset([label]),),
-                            validate=False)
 
 
 def _extended_masks(lat: GeometricLattice, members):
     """The mask -> rank dict of the single-element extension (new atom
     last)."""
     ebit = 1 << lat.n_atoms
-    covers_up = lat.covers_up()
     masks = {}
-    for f, m in enumerate(lat.flat_masks):
-        r = lat.ranks[f]
+    for f, (m, r, ups) in enumerate(zip(lat.flat_masks, lat.ranks,
+                                         lat.covers_up())):
         if f in members:
             masks[m | ebit] = r
         else:
             masks[m] = r
-            if not any(c in members for c in covers_up[f]):
+            if members.isdisjoint(ups):
                 masks[m | ebit] = r + 1
     return masks
 
@@ -378,34 +374,24 @@ def entry_for(base, lat, fixed):
 
 def _entry_of_form(base, lat, cf):
     """The base's entry for ``cf.certificate``, built on the first call
-    from ``lat`` relabeled by its canonical form ``cf``: the base prefix is
-    fixed and the new atoms, in canonical order, are named e1, e2, ...
-    (skipping used labels)."""
+    from the canonical form ``cf`` of ``lat`` (a lattice, or a flat table
+    as ``canonical_form`` reads one): the relabeled flats of ``cf`` with
+    the ranks of ``lat``.  The base prefix is fixed and the new atoms, in
+    canonical order, are named e1, e2, ... (skipping used labels)."""
     entries = _tables(base)[0]
     entry = entries.get(cf.certificate)
     if entry is not None:
         return entry
     perm = cf.perm
-    n = lat.n_atoms
-    inv = [0] * n
-    for i, p in enumerate(perm):
-        inv[p] = i
-    used = set(base.atoms)
-    labels = list(base.atoms)
-    supports = [base.atom_supports[i] for i in range(base.n_atoms)]
-    counter = 1
-    for p in range(base.n_atoms, n):
-        while f"e{counter}" in used:
-            counter += 1
-        lab = f"e{counter}"
-        counter += 1
-        used.add(lab)
-        labels.append(lab)
-        supports.append(frozenset([lab]))
-    masks = _move_masks(lat.flat_masks, perm)
-    ranks = dict(zip(masks, lat.ranks))
-    canon_lat = GeometricLattice(tuple(labels), masks, ranks=ranks,
-                                 atom_supports=supports, validate=False)
+    n = len(perm)
+    inv = sorted(range(n), key=perm.__getitem__)
+    free = (f"e{k}" for k in itertools.count(1)
+            if f"e{k}" not in base.atom_index)
+    new = tuple(itertools.islice(free, n - base.n_atoms))
+    ranks = dict(zip(cf.flat_masks, lat.ranks))
+    canon_lat = GeometricLattice(
+        base.atoms + new, ranks, ranks=ranks, validate=False,
+        atom_supports=base.atom_supports + tuple(frozenset([a]) for a in new))
     auts = tuple(tuple(perm[a[inv[i]]] for i in range(n))
                  for a in cf.automorphisms)
     top = canon_lat.closure((1 << base.n_atoms) - 1)
@@ -432,7 +418,8 @@ def _valid_cuts(entry: CatalogEntry):
     the base top) has all its hyperplanes in S, or when a flat g and its
     covers are surely outside the cut while g v (base top) is surely in
     it (g then stays free of the new atom, and the base top is not
-    modular in the child).
+    modular in the child).  The last test runs as each node is made, on
+    the flats its decisions touched.
     """
     lat = entry.lat
     fi = entry.top
@@ -456,85 +443,116 @@ def _valid_cuts(entry: CatalogEntry):
                 acc |= hyps[c]
             hyps[f] = acc
     n_h = len(lat.by_rank[r - 1])
-    colines = [[] for _ in range(n_h)]   # per hyperplane: the colines below
+    # two hyperplanes meet in one coline: lines[j][k] is the set of the
+    # hyperplanes above the coline of j and k, when it has three or more
+    # (two constrain nothing), and others[j] the union of lines[j]
+    lines = [[0] * n_h for _ in range(n_h)]
+    others = [0] * n_h
     forbidden = [[] for _ in range(n_h)]  # per hyperplane: forbidden flats
     for c in lat.by_rank[r - 2]:
         hc = hyps[c]
-        if hc.bit_count() >= 3:          # two hyperplanes constrain nothing
+        if hc.bit_count() >= 3:
             for j in _mask_atoms(hc):
-                colines[j].append(hc)
+                others[j] |= hc & ~(1 << j)
+                for k in _mask_atoms(hc):
+                    lines[j][k] = hc
     for hf in {hyps[fi]} | {hyps[a] for a in lat.by_rank[1]
                             if masks[a] & fi_mask == 0}:
         for j in _mask_atoms(hf):
             forbidden[j].append(hf)
 
     below = [0] * n_h                    # per hyperplane: the flats below
-    for f in range(n_f):
-        for j in _mask_atoms(hyps[f]):
-            below[j] |= 1 << f
+    for f, hf in enumerate(hyps):
+        while hf:
+            low = hf & -hf
+            below[low.bit_length() - 1] |= 1 << f
+            hf ^= low
+    # the base-top condition reads the flats g not above the base top; g
+    # is armed once the hyperplanes above g v (base top), those above both,
+    # are all in S
+    hyps_fi = hyps[fi]
+    live = sum(1 << g for g in range(n_f) if masks[g] & fi_mask != fi_mask)
+    armed = sum(1 << g for g in _mask_atoms(live) if not hyps[g] & hyps_fi)
+    covers = [sum(1 << c for c in covers_up[g]) for g in range(n_f)]
 
-    def decide(inside, outside, dead, j, is_in):
-        """Add hyperplane j to one side and propagate; None on conflict.
-        ``dead`` collects the flats surely outside the cut: those below a
-        hyperplane left out of S."""
-        todo = [(j, is_in)]
+    def decide(inside, outside, dead, armed, j, is_in):
+        """Add hyperplane j to one side and propagate; None on conflict or
+        when an armed flat is dead with all its covers.  ``dead`` collects
+        the flats surely outside the cut: those below a hyperplane left out
+        of S.  The hyperplanes in ``todo`` are decided and wait for their
+        colines to be read; the closure, or the conflict, is the same in
+        any order."""
+        inside0 = inside
+        todo = 1 << j
+        if is_in:
+            inside |= todo
+        else:
+            outside |= todo
+        reach = 0  # the flats below a hyperplane newly left out
         while todo:
-            j, is_in = todo.pop()
-            if is_in:
-                inside |= 1 << j
+            low = todo & -todo
+            todo ^= low
+            j = low.bit_length() - 1
+            if inside & low:
                 for hf in forbidden[j]:
                     if hf & ~inside == 0:
                         return None
+                near = others[j] & (inside | outside)
             else:
-                outside |= 1 << j
-                dead |= below[j]
-            for hc in colines[j]:
+                reach |= below[j]
+                near = others[j] & inside
+            # the colines through j with another decided hyperplane, read
+            # once each; for j out, only those with one in can act
+            line = lines[j]
+            while near:
+                hc = line[(near & -near).bit_length() - 1]
+                near &= ~hc
                 cin = hc & inside
                 if cin & (cin - 1):
                     if hc & outside:
                         return None
                     new = hc & ~inside
-                    if new:
-                        inside |= new
-                        todo.extend((k, True) for k in _mask_atoms(new))
+                    inside |= new
+                    todo |= new
                 elif cin and hc & outside:
                     new = hc & ~inside & ~outside
-                    if new:
-                        outside |= new
-                        todo.extend((k, False) for k in _mask_atoms(new))
-        return inside, outside, dead
-
-    # the base-top condition only concerns flats g not above the base top
-    by_join = {}  # X above the base top -> flats g not above it, g v fi = X
-    for g in range(n_f):
-        if masks[g] & fi_mask != fi_mask:
-            x = lat.join(fi, g)
-            by_join[x] = by_join.get(x, 0) | 1 << g
-    joined = [(hyps[x], gs) for x, gs in by_join.items()]
-    covers = [sum(1 << c for c in covers_up[g]) for g in range(n_f)]
-
-    def loses_base_modularity(inside, dead):
-        for hx, gs in joined:
-            if hx & ~inside == 0:
-                for g in _mask_atoms(gs & dead):
-                    if covers[g] & ~dead == 0:
-                        return True
-        return False
+                    outside |= new
+                    todo |= new
+        # the parent passed the base-top test, so only the flats these
+        # decisions touched are read: the armed ones in reach, and the
+        # newly armed
+        dead |= reach
+        check = reach & armed
+        new_in = inside & ~inside0 & hyps_fi
+        while new_in:
+            low = new_in & -new_in
+            fresh = below[low.bit_length() - 1] & live & ~armed
+            while fresh:
+                g = fresh & -fresh
+                if hyps[g.bit_length() - 1] & hyps_fi & ~inside == 0:
+                    armed |= g
+                    check |= g & dead
+                fresh ^= g
+            new_in ^= low
+        while check:
+            g = check & -check
+            if covers[g.bit_length() - 1] & ~dead == 0:
+                return None
+            check ^= g
+        return inside, outside, dead, armed
 
     full_h = (1 << n_h) - 1
     full_f = (1 << n_f) - 1
-    stack = [(0, 0, 0)]
+    stack = [(0, 0, 0, armed)]
     while stack:
-        inside, outside, dead = stack.pop()
-        if loses_base_modularity(inside, dead):
-            continue
-        open_ = full_h & ~(inside | outside)
+        node = stack.pop()
+        open_ = full_h & ~(node[0] | node[1])
         if not open_:
-            yield frozenset(_mask_atoms(full_f & ~dead))
+            yield frozenset(_mask_atoms(full_f & ~node[2]))
             continue
         j = (open_ & -open_).bit_length() - 1
         for is_in in (False, True):
-            nxt = decide(inside, outside, dead, j, is_in)
+            nxt = decide(*node, j, is_in)
             if nxt is not None:
                 stack.append(nxt)
 
@@ -601,18 +619,28 @@ def _child(base, lat, members):
     entry: none when another new atom has a larger invariant, the sorted
     (rank, base part, new-atom count) of the flats containing it.  By
     canonical augmentation (McKay 1998), deleting a new atom of maximal
-    invariant leaves an entry one level down whose walk builds this child."""
+    invariant leaves an entry one level down whose walk builds this child.
+    The child is canonicalized from its flat table, never built itself."""
     nb = base.n_atoms
     base_mask = (1 << nb) - 1
     masks = _extended_masks(lat, members)
     invs = [[] for _ in range(lat.n_atoms + 1 - nb)]
     for m, r in masks.items():
-        for a in _mask_atoms(m >> nb):
-            invs[a].append((r, m & base_mask, (m >> nb).bit_count()))
+        new = m >> nb
+        if new:
+            inv = (r, m & base_mask, new.bit_count())
+            while new:
+                low = new & -new
+                invs[low.bit_length() - 1].append(inv)
+                new ^= low
     added = sorted(invs.pop())
     if any(sorted(inv) > added for inv in invs):
         return ()
-    child = _extension_lattice(lat, masks, "@new")
+    n = lat.n_atoms + 1
+    # the flat table canonical_form reads, with the base atoms first
+    child = SimpleNamespace(atom_index=base.atom_index, n_atoms=n,
+                            rank=masks[(1 << n) - 1], flat_masks=masks.keys(),
+                            ranks=masks.values())
     return (_entry_of_form(base, child,
                            canonical_form(child, fixed_atoms=base.atoms)),)
 

@@ -122,8 +122,9 @@ class GeometricLattice:
         self.atom_supports = atom_supports
         self.name = name
 
-        masks = sorted(set(int(m) for m in flat_masks),
-                       key=lambda m: (m.bit_count(), m))
+        # by size, then value: a stable sort by size after one by value
+        masks = sorted(set(map(int, flat_masks)))
+        masks.sort(key=int.bit_count)
         self.flat_masks = tuple(masks)
         self.flat_index = {m: i for i, m in enumerate(masks)}
         self._covers_up = None
