@@ -156,6 +156,26 @@ def test_product_unit_and_atoms(pi3):
     assert ba == ab.scale(-1)
 
 
+def test_product_with_a_shared_base_atom_skips_the_pushout(pi4):
+    # a base atom in both words repeats in the product's word, since the
+    # pushout keeps the base positions: the product is zero, as through
+    # the pushout, and no pushout is built for it
+    alg = DiagramAlgebra(pi4)
+    diags = [d for ds in alg.diagrams_within((3, 2)).values()
+             for d in ds][::16]
+    nb = pi4.n_atoms
+    pairs = [(d1, d2) for d1 in diags for d2 in diags
+             if set(d1.word) & {p for p in d2.word if p < nb}]
+    assert any(d1.entry.level and d2.entry.level for d1, d2 in pairs)
+    for d1, d2 in pairs:
+        assert alg.product(d1, d2).is_zero
+    assert not alg._pushout_cache
+    for d1, d2 in pairs:
+        lat, pos2 = alg._pushout_machinery(d1.entry, d2.entry)
+        word = d1.word + tuple(pos2[p] for p in d2.word)
+        assert alg.normalize_raw(lat, tuple(range(nb)), word) == (0, ZERO)
+
+
 def test_product_grading_join(pi3):
     alg = algebra_for(pi3)
     a = alg.atom_diagram("1-2")
