@@ -171,7 +171,16 @@ def _diagram_payload(diag, sign=1):
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        code = _dispatch(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # the reader of stdout went away: not an input error; the output
+        # left in the buffer goes to the null device at shutdown
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE, as a shell reports a killed writer
     except ResourceLimit as ex:
         print(f"resource limit: {ex}", file=sys.stderr)
         return 3

@@ -323,6 +323,27 @@ def test_cli_input_errors(tmp_path):
         assert exc.value.code == 2, argv
 
 
+def test_cli_closed_stdout_exits_quietly():
+    # a reader that went away is no input error: nothing on stderr, and
+    # the exit code a shell gives a writer killed by SIGPIPE
+    import mdg
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mdg.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "mdg.cli", "extensions", "enumerate",
+             "--lattice", "pi3", "--max-atoms", "4", "--max-rank", "2",
+             "--json"],
+            stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+            env={**os.environ, "PYTHONPATH": path})
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
+
+
 def test_cli_entrypoint_subprocess():
     # the child imports mdg from where this process did, with or without
     # PYTHONPATH set
