@@ -45,7 +45,7 @@ class CanonicalForm:
     certificate: bytes
     perm: tuple
     automorphisms: tuple
-    flat_masks: list = field(default=None, compare=False, repr=False)
+    flat_masks: list = field(compare=False, repr=False)
 
 
 def _incidence(lat):
@@ -109,7 +109,7 @@ def _orbits(children, gens):
     while stack:
         child = stack.pop()
         for g in gens:
-            image = type(child)(g[a] for a in child)
+            image = type(child)(map(g.__getitem__, child))
             if image not in out:
                 out.add(image)
                 stack.append(image)
@@ -209,7 +209,7 @@ class _Search:
 
     def stabilizer(self, colors):
         return [g for g in self.gens
-                if all(colors[x] == c for x, c in zip(g, colors))]
+                if tuple(map(colors.__getitem__, g)) == colors]
 
     def drop_equivalent_branch(self):
         """Abandon the current child of the shallowest open node at which

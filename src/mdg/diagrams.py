@@ -282,16 +282,17 @@ class DiagramAlgebra:
         self._own(d1)
         self._own(d2)
         terms = self._products.get((d1, d2))
-        nb = self.base.n_atoms
-        if terms is None and any(p < nb and p in d1.word for p in d2.word):
-            # the base positions stay put in the pushout, so a base atom in
-            # both words repeats: normalize_raw's zero, without the pushout
-            terms = self._products[d1, d2] = ()
         if terms is None:
-            lat, pos2 = self._pushout_machinery(d1.entry, d2.entry)
-            word = d1.word + tuple(pos2[p] for p in d2.word)
-            sign, res = self.normalize_raw(lat, tuple(range(nb)), word)
-            terms = () if res is ZERO else ((res, sign),)
+            nb = self.base.n_atoms
+            if any(p < nb and p in d1.word for p in d2.word):
+                # the pushout keeps the base positions, so a base atom in
+                # both words repeats: normalize_raw's zero, without a pushout
+                terms = ()
+            else:
+                lat, pos2 = self._pushout_machinery(d1.entry, d2.entry)
+                word = d1.word + tuple(pos2[p] for p in d2.word)
+                sign, res = self.normalize_raw(lat, tuple(range(nb)), word)
+                terms = () if res is ZERO else ((res, sign),)
             self._products[d1, d2] = terms
         return Combination(terms)
 

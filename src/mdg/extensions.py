@@ -425,7 +425,6 @@ def _valid_cuts(entry: CatalogEntry):
     fi = entry.top
     if fi == lat.top:
         return
-    ranks = lat.ranks
     masks = lat.flat_masks
     fi_mask = masks[fi]
     covers_up = lat.covers_up()
@@ -436,12 +435,9 @@ def _valid_cuts(entry: CatalogEntry):
     hyps = [0] * n_f
     for j, h in enumerate(lat.by_rank[r - 1]):
         hyps[h] = 1 << j
-    for f in range(n_f - 1, -1, -1):
-        if ranks[f] < r - 1:
-            acc = 0
-            for c in covers_up[f]:
-                acc |= hyps[c]
-            hyps[f] = acc
+    for f in range(n_f - 1, -1, -1):      # covers come later in the order
+        for c in covers_up[f]:
+            hyps[f] |= hyps[c]
     n_h = len(lat.by_rank[r - 1])
     # two hyperplanes meet in one coline: lines[j][k] is the set of the
     # hyperplanes above the coline of j and k, when it has three or more
@@ -452,9 +448,10 @@ def _valid_cuts(entry: CatalogEntry):
     for c in lat.by_rank[r - 2]:
         hc = hyps[c]
         if hc.bit_count() >= 3:
-            for j in _mask_atoms(hc):
+            on = list(_mask_atoms(hc))
+            for j in on:
                 others[j] |= hc & ~(1 << j)
-                for k in _mask_atoms(hc):
+                for k in on:
                     lines[j][k] = hc
     for hf in {hyps[fi]} | {hyps[a] for a in lat.by_rank[1]
                             if masks[a] & fi_mask == 0}:

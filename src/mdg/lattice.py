@@ -79,8 +79,10 @@ def _move_masks(masks, pos):
     out = []
     for m in masks:
         nm = 0
-        for i in _mask_atoms(m):
-            nm |= 1 << pos[i]
+        while m:
+            low = m & -m
+            nm |= 1 << pos[low.bit_length() - 1]
+            m ^= low
         out.append(nm)
     return out
 
