@@ -11,6 +11,7 @@ from conftest import (
     perm_parity,
     set_partitions,
 )
+from test_canon import SWEEP_GRAPHS
 from mdg.canon import canonical_form, certificates_equal
 from mdg.corpus import build_corpus_lattice, corpus_names, graph_edges
 from mdg.errors import (
@@ -130,6 +131,60 @@ def test_build_from_graph_errors():
         build_from_graph([(1, 1)])
     with pytest.raises(DuplicateEdge):
         build_from_graph([(1, 2), (2, 1)])
+
+
+def _graphic_flats_oracle(edges):
+    """{flat: rank} of a simple graph by brute force over its edge sets,
+    each flat a set of (u, v) string pairs with u < v.  An edge set is a
+    flat exactly when no edge outside it joins two vertices of one of its
+    components; its rank is the number of vertices less the number of
+    components (union-find)."""
+    edges = [tuple(sorted((str(u), str(v)))) for u, v in edges]
+    vertices = {v for e in edges for v in e}
+    flats = {}
+    for k in range(len(edges) + 1):
+        for chosen in itertools.combinations(edges, k):
+            parent = {v: v for v in vertices}
+
+            def find(x):
+                while parent[x] != x:
+                    x = parent[x]
+                return x
+            for u, v in chosen:
+                parent[find(u)] = find(v)
+            if any(find(u) == find(v) for u, v in edges
+                   if (u, v) not in chosen):
+                continue
+            roots = {find(v) for v in vertices}
+            flats[frozenset(chosen)] = len(vertices) - len(roots)
+    return flats
+
+
+def _oracle_graphs():
+    k4 = [(str(u), str(v)) for u, v in itertools.combinations(range(1, 5), 2)]
+    for k in range(1, len(k4) + 1):
+        for sub in itertools.combinations(k4, k):
+            yield "K4 " + " ".join(f"{u}{v}" for u, v in sub), list(sub)
+    yield from SWEEP_GRAPHS.items()
+    yield "triangle+path", [("1", "2"), ("2", "3"), ("1", "3"),
+                            ("4", "5"), ("5", "6")]
+    # "10" < "2" < "9" as strings, not as numbers
+    yield "10,2,9", [(2, 10), (9, 2), (10, 9), (9, 1)]
+
+
+def test_build_from_graph_flats_match_the_component_oracle():
+    n_graphs = 0
+    for name, edges in _oracle_graphs():
+        lat = build_from_graph(edges)
+        want = {}
+        for flat, r in _graphic_flats_oracle(edges).items():
+            mask = 0
+            for u, v in flat:
+                mask |= 1 << lat.atoms.index(f"{u}-{v}")
+            want[mask] = r
+        assert dict(zip(lat.flat_masks, lat.ranks)) == want, name
+        n_graphs += 1
+    assert n_graphs == 63 + 13 + 2
 
 
 def test_partition_lattice_sizes(pi2, pi3, pi4):
