@@ -425,28 +425,18 @@ def build_from_flats(atoms, flats, *, validate=True, name=None) -> GeometricLatt
     return GeometricLattice(atoms, masks, validate=validate, name=name)
 
 
-def _set_partitions(items):
-    items = list(items)
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [part[i] + [first]] + part[i + 1:]
-        yield [[first]] + part
-
-
 def build_from_graph(edges, *, name=None) -> GeometricLattice:
     """Geometric lattice of a simple graph; atoms are edges labeled "u-v".
 
     A flat is an edge set closed under the rule: if it contains a path
     between the endpoints of an edge, it contains that edge.  Flats
-    correspond to partitions of the vertex set into connected blocks.
+    correspond to partitions of the vertex set into connected blocks, and
+    each is reached from the partition into singletons by merging the two
+    blocks at the ends of an edge.  A partition is walked as the labelling
+    of each vertex by the least vertex of its block, which is canonical.
     """
     canon = []
     seen = set()
-    vertices = set()
     for u, v in edges:
         u, v = str(u), str(v)
         if u == v:
@@ -456,50 +446,35 @@ def build_from_graph(edges, *, name=None) -> GeometricLattice:
             raise DuplicateEdge(f"duplicate edge {key!r}")
         seen.add(key)
         canon.append(key)
-        vertices.update(key)
-    atoms = tuple(sorted(f"{u}-{v}" for u, v in canon))
-    edge_of_atom = {f"{u}-{v}": (u, v) for u, v in canon}
-    adj = {v: set() for v in vertices}
-    for u, v in canon:
-        adj[u].add(v)
-        adj[v].add(u)
+    index = {}
+    for key in canon:
+        for x in key:
+            index.setdefault(x, len(index))
+    labeled = sorted((f"{u}-{v}", index[u], index[v]) for u, v in canon)
+    atoms = tuple(label for label, _, _ in labeled)
+    ends = [(i, j) for _, i, j in labeled]
 
-    verts = sorted(vertices)
-    masks = set()
+    nv = len(index)
+    start = tuple(range(nv))
+    walked = {start}
+    stack = [start]
     ranks = {}
-    nv = len(verts)
-    for part in _set_partitions(verts):
-        ok = True
-        for block in part:
-            bs = set(block)
-            if len(block) == 1:
+    while stack:
+        blocks = stack.pop()
+        mask = 0
+        for k, (i, j) in enumerate(ends):
+            a, b = blocks[i], blocks[j]
+            if a == b:
+                mask |= 1 << k
                 continue
-            # connectivity of the induced subgraph on the block
-            seen_b = {block[0]}
-            stack = [block[0]]
-            while stack:
-                x = stack.pop()
-                for y in adj[x]:
-                    if y in bs and y not in seen_b:
-                        seen_b.add(y)
-                        stack.append(y)
-            if len(seen_b) != len(block):
-                ok = False
-                break
-        if not ok:
-            continue
-        blocks = [set(b) for b in part]
-        m = 0
-        for i, a in enumerate(atoms):
-            u, v = edge_of_atom[a]
-            if any(u in b and v in b for b in blocks):
-                m |= 1 << i
-        if m not in masks:
-            masks.add(m)
-            ranks[m] = nv - len(part)
-    lat = GeometricLattice(atoms, sorted(masks), ranks=ranks, validate=False,
-                           name=name)
-    return lat
+            lo, hi = (a, b) if a < b else (b, a)
+            merged = tuple(lo if x == hi else x for x in blocks)
+            if merged not in walked:
+                walked.add(merged)
+                stack.append(merged)
+        ranks[mask] = nv - len(set(blocks))
+    return GeometricLattice(atoms, ranks.keys(), ranks=ranks, validate=False,
+                            name=name)
 
 
 def build_partition_lattice(n: int, *, name=None) -> GeometricLattice:
