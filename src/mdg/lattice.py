@@ -199,16 +199,12 @@ class GeometricLattice:
                 raise NotGeometric("atom is not a closed flat", witness=self.atoms[i])
             if self.ranks[index[1 << i]] != 1:
                 raise NotGeometric("singleton flat has rank != 1", witness=self.atoms[i])
-        for a, b in itertools.combinations(range(len(masks)), 2):
-            inter = masks[a] & masks[b]
-            if inter not in index:
-                below = [m for m in masks if m | inter == inter]
-                maximal = [m for m in below
-                           if not any(m != m2 and m | m2 == m2 for m2 in below)]
-                wit = (self._labels(masks[a]), self._labels(masks[b]))
-                if len(maximal) != 1:
-                    raise NotALattice("pair lacks an infimum", witness=wit)
-                raise NotGeometric("flats are not intersection-closed", witness=wit)
+        # the bottom and the atoms are flats, so a pair whose intersection
+        # is not a flat has at least two maximal flats below both
+        for a, b in itertools.combinations(masks, 2):
+            if a & b not in index:
+                raise NotALattice("pair lacks an infimum",
+                                  witness=(self._labels(a), self._labels(b)))
         # cover form of semimodularity, equivalent for finite-length lattices
         covers_up = self.covers_up()
         for z in range(len(masks)):

@@ -174,6 +174,18 @@ def test_cli_validate_and_os(tmp_path):
         ("1-2", "2-3"): "1/1", ("1-2", "1-3"): "-1/1"}
 
 
+def test_cli_validate_rejects_a_pair_without_infimum(tmp_path, capsys):
+    # abc and abd meet in ab, which is not a flat
+    spec = {"kind": "flats", "atoms": list("abcd"),
+            "flats": [[], ["a"], ["b"], ["c"], ["d"], ["a", "b", "c"],
+                      ["a", "b", "d"], list("abcd")]}
+    path = tmp_path / "no-infimum.json"
+    path.write_text(json.dumps(spec))
+    code, out = run_cli("validate", "--lattice", str(path))
+    assert (code, out) == (2, "")
+    assert "pair lacks an infimum" in capsys.readouterr().err
+
+
 def test_cli_lattice_file(tmp_path):
     spec = {"kind": "graph", "edges": [["1", "2"], ["2", "3"], ["1", "3"]]}
     path = tmp_path / "k3.json"

@@ -13,7 +13,12 @@ from conftest import (
 )
 from test_canon import SWEEP_GRAPHS
 from mdg.canon import canonical_form, certificates_equal
-from mdg.corpus import build_corpus_lattice, corpus_names, graph_edges
+from mdg.corpus import (
+    build_corpus_lattice,
+    build_rank3_configuration,
+    corpus_names,
+    graph_edges,
+)
 from mdg.errors import (
     DuplicateEdge,
     ForeignFlat,
@@ -26,6 +31,7 @@ from mdg.errors import (
 from mdg.extensions import catalog
 from mdg.modularity import diamond_iso
 from mdg.lattice import (
+    GeometricLattice,
     _merge_sign,
     _word_sign,
     build_boolean,
@@ -89,6 +95,35 @@ def test_raised_errors_carry_their_witness(plane8):
         diamond_iso(plane8, plane8.flat_of_atoms(["a", "e"]), plane8.bottom)
     assert ex.value.witness == ("a", "e")
     assert ForeignFlat("no witness").witness is None
+
+
+_ABCD = [[], ["a"], ["b"], ["c"], ["d"]]
+# one lattice per check of the lattice validation that no corpus input fails
+INVALID_LATTICES = {
+    "no-bottom": (lambda: build_from_flats(["a", "b"],
+                                           [["a"], ["b"], ["a", "b"]]),
+                  NotGeometric, "the empty flat (bottom) is missing"),
+    "no-infimum": (lambda: build_from_flats(
+        "abcd", _ABCD + [["a", "b", "c"], ["a", "b", "d"], list("abcd")]),
+        NotALattice, "pair lacks an infimum"),
+    "not-semimodular": (lambda: build_from_flats(
+        "abcd", _ABCD + [["a", "b"], ["c", "d"], list("abcd")]),
+        NotGeometric, "semimodularity fails on a cover pair"),
+    "atom-rank-2": (lambda: GeometricLattice(
+        ("a", "b"), [0, 1, 2, 3], ranks={0: 0, 1: 2, 2: 1, 3: 2}),
+        NotGeometric, "singleton flat has rank != 1"),
+    "lines-share-two-points": (lambda: build_rank3_configuration(
+        "abcd", [{"a", "b", "c"}, {"a", "b", "d"}]),
+        NotGeometric, "two lines share two points"),
+}
+
+
+@pytest.mark.parametrize("case", INVALID_LATTICES)
+def test_invalid_lattices_raise_their_error(case):
+    build, error, message = INVALID_LATTICES[case]
+    with pytest.raises(error) as ex:
+        build()
+    assert str(ex.value) == message
 
 
 def test_build_from_graph_k3(pi3):
