@@ -137,10 +137,9 @@ def run_verify_qiso(lat: GeometricLattice, max_new_atoms=3, max_extra_rank=2,
     check_deadline("series checks")
     t0 = time.perf_counter()
     alg = algebra_for(lat)
-    if timeout is not None:
-        # the blocks read the children this walk keeps on the base
-        catalog(alg.base, max_new_atoms + 1, max_extra_rank,
-                deadline=start + timeout)
+    # the blocks read the children this walk keeps on the base
+    catalog(alg.base, max_new_atoms + 1, max_extra_rank,
+            deadline=None if timeout is None else start + timeout)
     lo = alg.cohomology_block(lat.top, (max_new_atoms, max_extra_rank))
     check_deadline("cohomology at the base bounds")
     hi = alg.cohomology_block(lat.top, (max_new_atoms + 1, max_extra_rank))
