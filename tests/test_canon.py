@@ -25,7 +25,8 @@ from mdg.corpus import (
     cycle_graph_edges,
     path_graph_edges,
 )
-from mdg.extensions import catalog
+from mdg.extensions import (ModularCut, _valid_cuts, catalog,
+                            single_element_extension)
 from mdg.lattice import (GeometricLattice, build_boolean, build_from_flats,
                          build_from_graph)
 
@@ -276,3 +277,29 @@ def test_canonical_form_ignores_atom_labels():
         got = canonical_form(copy, [copy.atoms[i] for i in pinned])
         assert got == want, entry.certificate
     assert any(e.level == 4 for e in entries)
+
+
+# every child the pi4 (4,2) walk can try: each cut of each entry below the
+# top level, the empty cut included, as a built lattice with pi4 pinned
+CHILDREN_GOLDEN = (
+    "02a4ba19830b710317a39f50f4c0757de848d8543436b7587b6fc54030df4368")
+
+
+def test_catalog_children_forms_golden():
+    # the search may change how it reaches its result, never the result:
+    # certificate, labelling and the automorphism generators it lists
+    pi4 = build_corpus_lattice("pi4")
+    h = hashlib.sha256()
+    n = 0
+    for entry in catalog(pi4, 4, 2):
+        if entry.level == 4:
+            continue
+        for members in [frozenset()] + list(_valid_cuts(entry)):
+            child, _ = single_element_extension(
+                entry.lat, ModularCut(entry.lat, members), "@new")
+            cf = canonical_form(child, pi4.atoms)
+            h.update(cf.certificate + b"|"
+                     + repr((cf.perm, cf.automorphisms)).encode() + b"\n")
+            n += 1
+    assert n == 366
+    assert h.hexdigest() == CHILDREN_GOLDEN

@@ -645,6 +645,21 @@ def test_extra_rank_bound_filters_the_larger_catalog(name, low_first):
     assert len(low) == len(want) and all(a is b for a, b in zip(low, want))
 
 
+# catalog(pi6, 3, 1) in order: SHA-256 over the entries' certificates
+PI6_CERTIFICATES = (
+    "19d44c30450e73e0770a9e1b47f3f1e6e287a96b6f39ccfd7b9487d0ad8868e2")
+
+
+def test_pi6_catalog_matches_golden_digest():
+    # the largest cut searches of tier-1: hyperplanes of pi6's extensions
+    entries = catalog(build_partition_lattice(6), 3, 1)
+    h = hashlib.sha256()
+    for entry in entries:
+        h.update(entry.certificate + b"\n")
+    assert len(entries) == 52
+    assert h.hexdigest() == PI6_CERTIFICATES
+
+
 def test_catalog_rejects_negative_bounds():
     # a negative atom bound once sliced the kept levels from the end
     pi3 = build_corpus_lattice("pi3")
