@@ -7,9 +7,14 @@ then searches the remaining color cells depth first, keeping the
 lexicographically least certificate and the first leaf that reaches it.
 A leaf is compared as its sorted list of relabeled flat masks; the
 certificate text, whose byte order ranks two different leaves, is encoded
-only for such a ranking and for the result.  Refinement stops at a
-discrete coloring or after a round that splits no cell: neither can change
-in a further round.
+once for the best leaf and once for each leaf ranked against it.  A leaf
+relabels only the atoms its labelling moves.
+
+A refinement round reads the atoms of the cells holding two or more atoms
+and the flats containing one of them: their signatures order the atoms
+within those cells, and an atom alone in its cell keeps its place.
+Refinement stops at a discrete coloring or after a round that splits no
+cell: neither can change in a further round.
 
 Leaves whose certificate equals the first leaf's or the best leaf's give
 automorphisms, and these prune the search as in nauty (McKay and Piperno,
@@ -24,10 +29,11 @@ automorphisms fixing the pinned atoms.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import ForeignFlat
-from .lattice import GeometricLattice
+from .lattice import GeometricLattice, _mask_atoms
 
 
 @dataclass(frozen=True)
@@ -71,18 +77,25 @@ def _refine(incidence, colors):
     A round's colors sort by the old color first, so a round only splits
     cells: a discrete coloring is final once renumbered, and after a round
     that splits no cell, which renumbers in order, the next would repeat it.
+
+    Numbering only the signed flats keeps the order of every sorted list
+    of their ids, so the unsigned ones change no color.
     """
     n_cells = len(set(colors))
     while n_cells < len(colors):
         flats, atom_flats = incidence
         color = colors.__getitem__
-        sigs = [(r, tuple(sorted(map(color, atoms)))) for r, atoms in flats]
+        size = Counter(colors)
+        signed = {f for c, fs in zip(colors, atom_flats) if size[c] > 1
+                  for f in fs}
+        sigs = {f: (flats[f][0], tuple(sorted(map(color, flats[f][1]))))
+                for f in signed}
         # ids must follow the canonical order of the signatures themselves,
         # not the enumeration order, or certificates depend on presentation
-        sig_order = {s: k for k, s in enumerate(sorted(set(sigs)))}
-        sig_id = list(map(sig_order.__getitem__, sigs)).__getitem__
-        atom_sigs = [(c, tuple(sorted(map(sig_id, fs))))
-                     for c, fs in zip(colors, atom_flats)]
+        sig_order = {s: k for k, s in enumerate(sorted(set(sigs.values())))}
+        sig_id = {f: sig_order[s] for f, s in sigs.items()}.__getitem__
+        atom_sigs = [(c, tuple(sorted(map(sig_id, fs)))) if size[c] > 1
+                     else (c,) for c, fs in zip(colors, atom_flats)]
         new_ids = {s: k for k, s in enumerate(sorted(set(atom_sigs)))}
         new_colors = tuple(map(new_ids.__getitem__, atom_sigs))
         if len(new_ids) == n_cells:
@@ -137,8 +150,9 @@ class _Search:
 
     def __init__(self, lat):
         self.lat = lat
+        self.masks = lat.flat_masks
         self.incidence = _incidence(lat)
-        self.first = None   # (sorted masks, perm, masks) of the first leaf
+        self.first = None   # first leaf: (sorted masks, perm, masks, body)
         self.best = None    # the first leaf with the least certificate
         self.gens = set()   # automorphisms found
         self.frames = []    # open nodes, root first: (colors, explored)
@@ -181,11 +195,20 @@ class _Search:
         self.frames.pop()
 
     def leaf(self, perm):
+        # the atoms perm fixes keep their bits, and each distinct moved part
+        # of a mask is relabeled once
+        moved = sum(1 << i for i, p in enumerate(perm) if p != i)
         bits = [1 << p for p in perm].__getitem__
-        masks = [sum(map(bits, atoms)) for _, atoms in self.incidence[0]]
+        images = {}
+        masks = []
+        for m in self.masks:
+            part = m & moved
+            if part not in images:
+                images[part] = sum(map(bits, _mask_atoms(part)))
+            masks.append(m ^ part | images[part])
         key = sorted(masks)
         if self.first is None:
-            self.first = self.best = (key, perm, masks)
+            self.first = self.best = (key, perm, masks, _certificate_body(key))
             return
         if key == self.first[0]:
             ref = self.first[1]
@@ -193,8 +216,9 @@ class _Search:
             ref = self.best[1]
         else:
             # two different leaves: ranked by their certificate text
-            if _certificate_body(key) < _certificate_body(self.best[0]):
-                self.best = (key, perm, masks)
+            body = _certificate_body(key)
+            if body < self.best[3]:
+                self.best = (key, perm, masks, body)
             return
         # perm and ref reach the same certificate, so ref^-1 . perm is an
         # automorphism
@@ -245,9 +269,8 @@ def canonical_form(lat: GeometricLattice, fixed_atoms=()) -> CanonicalForm:
         colors[i] = k
     search = _Search(lat)
     search.node(_refine(search.incidence, tuple(colors)))
-    key, perm, masks = search.best
-    cert = (repr((lat.n_atoms, lat.rank)).encode() + b"|"
-            + _certificate_body(key))
+    _, perm, masks, body = search.best
+    cert = repr((lat.n_atoms, lat.rank)).encode() + b"|" + body
     return CanonicalForm(cert, perm, tuple(sorted(search.gens)), masks)
 
 
