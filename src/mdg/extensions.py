@@ -400,18 +400,20 @@ def _entry_of_form(base, lat, cf):
     return entry
 
 
-def _valid_cuts(entry: CatalogEntry):
+def _valid_cuts(entry: CatalogEntry, deadline=None):
     """Every modular cut of the entry's lattice that yields a child
-    extension of the same base, yielded one at a time.
+    extension of the same base.
 
     A set S of hyperplanes is a linear subclass when no coline lies below
     two members of S and a hyperplane outside S.  Its modular cut is the
     set of flats whose hyperplanes all lie in S, and every nonempty
     modular cut arises once this way (Oxley, *Matroid Theory*, 2nd ed.,
     section 7.2); the empty S gives the free extension's cut {top}.  The
-    search decides the hyperplanes in order and propagates each decision
-    over the colines below it: two members above a coline force in the
-    rest above it, a member and a non-member force them out.
+    search numbers the hyperplanes largest first, decides the lowest open
+    one and propagates each decision over the colines below it: two
+    members above a coline force in the rest above it, a member and a
+    non-member force them out.  A large hyperplane lies on many colines,
+    so its decisions settle much of the rest near the root.
 
     A branch dies once the child is sure to be no extension of the base
     with its top modular: when a forbidden flat (rank at most 1, or below
@@ -420,6 +422,12 @@ def _valid_cuts(entry: CatalogEntry):
     it (g then stays free of the new atom, and the base top is not
     modular in the child).  The last test runs as each node is made, on
     the flats its decisions touched.
+
+    The entry's cuts are collected, then yielded in lexicographic order of
+    their in/out vectors over the hyperplanes in ``by_rank`` order, "in"
+    first; only one entry's cuts are held at a time.  Past ``deadline``, a
+    ``time.monotonic()`` instant checked every 4,096 popped nodes,
+    ``ResourceLimit`` is raised.
     """
     lat = entry.lat
     fi = entry.top
@@ -431,14 +439,19 @@ def _valid_cuts(entry: CatalogEntry):
     n_f = lat.n_flats
     r = lat.rank
 
+    # hyperplane j is the j-th largest, and weight[j] its bit in the yield
+    # key, the in/out vector in by_rank order read as a binary number
+    by_rank = lat.by_rank[r - 1]
+    n_h = len(by_rank)
+    order = sorted(range(n_h), key=lambda k: -masks[by_rank[k]].bit_count())
+    weight = [1 << (n_h - 1 - k) for k in order]
     # hyps[F]: bitmask over hyperplane positions of the hyperplanes above F
     hyps = [0] * n_f
-    for j, h in enumerate(lat.by_rank[r - 1]):
-        hyps[h] = 1 << j
+    for j, k in enumerate(order):
+        hyps[by_rank[k]] = 1 << j
     for f in range(n_f - 1, -1, -1):      # covers come later in the order
         for c in covers_up[f]:
             hyps[f] |= hyps[c]
-    n_h = len(lat.by_rank[r - 1])
     # two hyperplanes meet in one coline: lines[j][k] is the set of the
     # hyperplanes above the coline of j and k, when it has three or more
     # (two constrain nothing), and others[j] the union of lines[j]
@@ -540,18 +553,28 @@ def _valid_cuts(entry: CatalogEntry):
 
     full_h = (1 << n_h) - 1
     full_f = (1 << n_f) - 1
+    cuts = []
     stack = [(0, 0, 0, armed)]
+    popped = 0
     while stack:
         node = stack.pop()
+        popped += 1
+        if popped & 4095 == 0 and deadline is not None \
+                and time.monotonic() > deadline:
+            raise ResourceLimit("timeout exceeded in the cut search")
         open_ = full_h & ~(node[0] | node[1])
         if not open_:
-            yield frozenset(_mask_atoms(full_f & ~node[2]))
+            key = sum(weight[j] for j in _mask_atoms(node[0]))
+            cuts.append((key, node[2]))
             continue
         j = (open_ & -open_).bit_length() - 1
         for is_in in (False, True):
             nxt = decide(*node, j, is_in)
             if nxt is not None:
                 stack.append(nxt)
+    # "in" before "out" at the first hyperplane where two cuts differ
+    for _, dead in sorted(cuts, reverse=True):
+        yield frozenset(_mask_atoms(full_f & ~dead))
 
 
 def catalog(base: GeometricLattice, max_new_atoms: int, max_extra_rank: int,
@@ -563,7 +586,8 @@ def catalog(base: GeometricLattice, max_new_atoms: int, max_extra_rank: int,
     and the extra-rank bound only withholds coloop children.  Entries keep
     their children for every bound.  Negative bounds raise ``ValueError``.
     Past ``deadline``, a ``time.monotonic()`` instant checked before each
-    entry's children are built, ``ResourceLimit`` is raised.
+    entry's children are built and inside each long cut search,
+    ``ResourceLimit`` is raised.
     """
     if base.is_trivial:
         raise NotGeometric("extensions of the one-point lattice are not defined")
@@ -582,14 +606,14 @@ def catalog(base: GeometricLattice, max_new_atoms: int, max_extra_rank: int,
                     entry.coloop = _child(base, entry.lat, frozenset())
                 for child in entry.coloop:
                     nxt[child.certificate] = child
-            for child in _children(base, entry):
+            for child in _children(base, entry, deadline):
                 nxt[child.certificate] = child
         level = [nxt[c] for c in sorted(nxt)]
         found += level
     return found
 
 
-def _children(base, entry):
+def _children(base, entry, deadline):
     """The entry's children along its nonempty cuts, kept on the entry:
     ``_child`` of the first cut of each orbit under the entry's
     automorphisms.  These fix the base, so cuts in one orbit give children
@@ -602,7 +626,7 @@ def _children(base, entry):
                      for a in entry.automorphisms]
         seen = set()
         children = ()
-        for members in _valid_cuts(entry):
+        for members in _valid_cuts(entry, deadline):
             if members not in seen:
                 seen |= _orbits([members], flat_auts)
                 children += _child(base, lat, members)

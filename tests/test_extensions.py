@@ -16,6 +16,7 @@ from mdg.extensions import (
     _entry_of_form,
     _valid_cuts,
     CatalogEntry,
+    entry_for,
     ModularCut,
     ModularExtension,
     catalog,
@@ -628,6 +629,34 @@ def test_catalog_deadline_stops_the_walk(monkeypatch, checks):
     want = catalog(build_corpus_lattice("pi5"), 4, 1)
     assert [_entry_fields(e) for e in catalog(pi5, 4, 1)] == \
         [_entry_fields(e) for e in want]
+
+
+def test_cut_search_deadline_raises_inside_the_search(monkeypatch):
+    # U(3,9) over one of its points has 2,620 cuts and a search of more
+    # than 4,096 nodes, so a deadline already passed raises from inside
+    # the search at its first check; the catalog hands its deadline down
+    atoms = [str(i) for i in range(9)]
+    lines = [s for r in range(3) for s in itertools.combinations(atoms, r)]
+    u39 = build_from_flats(atoms, lines + [atoms])
+    entry = entry_for(build_corpus_lattice("pi2"), u39, (0,))[0]
+    assert len(list(_valid_cuts(entry))) == 2620
+    seen = []
+    real = mdg.extensions._valid_cuts
+
+    def spy(entry, deadline=None):
+        seen.append(deadline)
+        return real(entry, deadline)
+
+    with monkeypatch.context() as m:
+        clock = itertools.count()
+        m.setattr(mdg.extensions.time, "monotonic", lambda: next(clock))
+        with pytest.raises(ResourceLimit) as ex:
+            list(_valid_cuts(entry, deadline=-0.5))
+        assert ex.traceback[-1].name == "_valid_cuts"
+        assert next(clock) == 1
+        m.setattr(mdg.extensions, "_valid_cuts", spy)
+        catalog(build_corpus_lattice("pi3"), 2, 1, deadline=1e9)
+    assert seen and set(seen) == {1e9}
 
 
 @pytest.mark.parametrize("low_first", [False, True], ids=["high", "low"])
