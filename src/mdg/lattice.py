@@ -424,6 +424,10 @@ def build_from_flats(atoms, flats, *, validate=True, name=None) -> GeometricLatt
 def build_from_graph(edges, *, name=None) -> GeometricLattice:
     """Geometric lattice of a simple graph; atoms are edges labeled "u-v".
 
+    An edge with "-" in an endpoint is labeled by the endpoints' Python
+    literals instead, as in 'a-b'-'c': each literal ends at its closing
+    quote, and such a label has two or more "-", so no two edges share one.
+
     A flat is an edge set closed under the rule: if it contains a path
     between the endpoints of an edge, it contains that edge.  Flats
     correspond to partitions of the vertex set into connected blocks, and
@@ -446,7 +450,8 @@ def build_from_graph(edges, *, name=None) -> GeometricLattice:
     for key in canon:
         for x in key:
             index.setdefault(x, len(index))
-    labeled = sorted((f"{u}-{v}", index[u], index[v]) for u, v in canon)
+    labeled = sorted((f"{u}-{v}" if "-" not in u + v else f"{u!r}-{v!r}",
+                      index[u], index[v]) for u, v in canon)
     atoms = tuple(label for label, _, _ in labeled)
     ends = [(i, j) for _, i, j in labeled]
 

@@ -168,6 +168,16 @@ def test_build_from_graph_errors():
         build_from_graph([(1, 2), (2, 1)])
 
 
+def test_build_from_graph_labels_edges_with_dashed_endpoints_apart():
+    # "a-b" to "c" and "a" to "b-c" were both "a-b-c"
+    lat = build_from_graph([("a-b", "c"), ("a", "b-c")])
+    assert lat.atoms == ("'a'-'b-c'", "'a-b'-'c'")
+    assert lat.rank == 2
+    # without "-" in a vertex label, an edge is still "u-v", smaller first
+    lat = build_from_graph([(2, 10), ("x", 2), (10, "x"), ("(y", "z)")])
+    assert lat.atoms == ("(y-z)", "10-2", "10-x", "2-x")
+
+
 def _graphic_flats_oracle(edges):
     """{flat: rank} of a simple graph by brute force over its edge sets,
     each flat a set of (u, v) string pairs with u < v.  An edge set is a
