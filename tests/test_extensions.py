@@ -632,14 +632,14 @@ def test_catalog_deadline_stops_the_walk(monkeypatch, checks):
 
 
 def test_cut_search_deadline_raises_inside_the_search(monkeypatch):
-    # U(3,9) over one of its points has 2,620 cuts and a search of more
-    # than 4,096 nodes, so a deadline already passed raises from inside
-    # the search at its first check; the catalog hands its deadline down
+    # U(3,9) over one of its points has 2,620 cuts and a search of 4,096
+    # to 8,191 nodes, so it reads the clock once, and a deadline already
+    # passed raises from inside the search at that check; the catalog
+    # hands its deadline down
     atoms = [str(i) for i in range(9)]
     lines = [s for r in range(3) for s in itertools.combinations(atoms, r)]
     u39 = build_from_flats(atoms, lines + [atoms])
     entry = entry_for(build_corpus_lattice("pi2"), u39, (0,))[0]
-    assert len(list(_valid_cuts(entry))) == 2620
     seen = []
     real = mdg.extensions._valid_cuts
 
@@ -650,6 +650,9 @@ def test_cut_search_deadline_raises_inside_the_search(monkeypatch):
     with monkeypatch.context() as m:
         clock = itertools.count()
         m.setattr(mdg.extensions.time, "monotonic", lambda: next(clock))
+        assert len(list(_valid_cuts(entry, deadline=1e9))) == 2620
+        assert next(clock) == 1
+        clock = itertools.count()
         with pytest.raises(ResourceLimit) as ex:
             list(_valid_cuts(entry, deadline=-0.5))
         assert ex.traceback[-1].name == "_valid_cuts"
