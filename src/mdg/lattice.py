@@ -433,7 +433,9 @@ def build_from_graph(edges, *, name=None) -> GeometricLattice:
     correspond to partitions of the vertex set into connected blocks, and
     each is reached from the partition into singletons by merging the two
     blocks at the ends of an edge.  A partition is walked as the labelling
-    of each vertex by the least vertex of its block, which is canonical.
+    of each vertex by the least vertex of its block, which is canonical,
+    kept as a string of one character per vertex, ``chr`` of its label, so
+    merging two blocks is one ``str.replace``.
     """
     canon = []
     seen = set()
@@ -456,7 +458,7 @@ def build_from_graph(edges, *, name=None) -> GeometricLattice:
     ends = [(i, j) for _, i, j in labeled]
 
     nv = len(index)
-    start = tuple(range(nv))
+    start = "".join(map(chr, range(nv)))
     walked = {start}
     stack = [start]
     ranks = {}
@@ -468,8 +470,7 @@ def build_from_graph(edges, *, name=None) -> GeometricLattice:
             if a == b:
                 mask |= 1 << k
                 continue
-            lo, hi = (a, b) if a < b else (b, a)
-            merged = tuple(lo if x == hi else x for x in blocks)
+            merged = blocks.replace(b, a) if a < b else blocks.replace(a, b)
             if merged not in walked:
                 walked.add(merged)
                 stack.append(merged)

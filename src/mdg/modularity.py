@@ -13,9 +13,22 @@ def is_modular(lat: GeometricLattice, f: int, *, with_witness=False):
 
     The witness is the failing flat of least rank, ties broken by the
     lexicographic order of its atom-label tuple.
+
+    Without a witness, a coatom H of a lattice of rank r >= 2 is modular
+    exactly when every line (rank-2 flat) meets it (Stanley, *Modular
+    elements of geometric lattices*, Algebra Universalis 1971).  If H is
+    modular, a line L not below H has r(H ∧ L) = (r-1) + 2 - r = 1.  If not,
+    some G not below H has X = H ∧ G of rank <= r(G) - 2 (semimodularity),
+    so [X, G] has covers Y1 != Y2 of X, with atoms p <= Y1 and q <= Y2
+    outside X, so outside H; an atom s of H on p ∨ q is below G, so below
+    X, so q <= p ∨ s <= Y1 and Y2 = X ∨ q = Y1: the line p ∨ q misses H.
     """
     _check_flats(lat, f)
     rf = lat.ranks[f]
+    if not with_witness and rf == lat.rank - 1 >= 1:
+        masks = lat.flat_masks
+        h = masks[f]
+        return all(masks[line] & h for line in lat.by_rank[2])
     witness = None
     ok = True
     for g in range(lat.n_flats):
@@ -87,7 +100,8 @@ def modular_flats(lat: GeometricLattice):
 
 
 def modular_coatoms(lat: GeometricLattice):
-    return [f for f in lat.by_rank[lat.rank - 1] if is_modular(lat, f)]
+    coatoms = lat.by_rank[lat.rank - 1] if lat.rank else ()
+    return [f for f in coatoms if is_modular(lat, f)]
 
 
 @dataclass(frozen=True)

@@ -204,6 +204,23 @@ def test_cli_modular_witness():
     assert data["modular"] is False and data["witness"]
 
 
+def test_cli_modular_coatoms_of_the_one_point_lattice(tmp_path):
+    # rank 0 has no coatom; by_rank[rank - 1] once wrapped to the bottom
+    specs = {"b0": {"kind": "boolean", "n": 0},
+             "flats0": {"kind": "flats", "atoms": [], "flats": [[]]},
+             "b1": {"kind": "boolean", "n": 1}}
+    for name, spec in specs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(spec))
+        coatoms = [[]] if name == "b1" else []
+        code, out = run_cli("modular", "--lattice", str(path))
+        assert code == 0
+        assert out.splitlines()[-1] == f"modular coatoms: {coatoms}", name
+        code, out = run_cli("modular", "--lattice", str(path), "--json")
+        assert code == 0
+        assert json.loads(out)["modular_coatoms"] == coatoms, name
+
+
 def test_cli_md_and_extensions(tmp_path):
     code, out = run_cli("md", "basis", "--lattice", "pi3", "--grading", "top",
                         "--degree", "1", "--max-atoms", "3", "--max-rank", "1",

@@ -16,8 +16,11 @@ from mdg.canon import canonical_form, certificates_equal
 from mdg.corpus import (
     build_corpus_lattice,
     build_rank3_configuration,
+    complete_graph_edges,
     corpus_names,
+    cycle_graph_edges,
     graph_edges,
+    path_graph_edges,
 )
 from mdg.errors import (
     DuplicateEdge,
@@ -230,6 +233,37 @@ def test_build_from_graph_flats_match_the_component_oracle():
         assert dict(zip(lat.flat_masks, lat.ranks)) == want, name
         n_graphs += 1
     assert n_graphs == 63 + 13 + 2
+
+
+def test_build_from_graph_flats_match_the_component_oracle_past_one_digit():
+    # vertex indices reach two digits: P12 and C10 against the union-find
+    # oracle, and K7 (2^21 edge sets, too many to walk) against its flats
+    # as the set partitions of its vertices
+    sizes = {}
+    for name, edges in (("P12", path_graph_edges(12)),
+                        ("C10", cycle_graph_edges(10))):
+        lat = build_from_graph(edges)
+        want = {}
+        for flat, r in _graphic_flats_oracle(edges).items():
+            mask = 0
+            for u, v in flat:
+                mask |= 1 << lat.atoms.index(f"{u}-{v}")
+            want[mask] = r
+        assert dict(zip(lat.flat_masks, lat.ranks)) == want, name
+        sizes[name] = len(want)
+    lat = build_from_graph(complete_graph_edges(7))
+    want = {}
+    for blocks in set_partitions([str(v) for v in range(1, 8)]):
+        mask = 0
+        for block in blocks:
+            for u, v in itertools.combinations(sorted(block), 2):
+                mask |= 1 << lat.atoms.index(f"{u}-{v}")
+        want[mask] = 7 - len(blocks)
+    assert dict(zip(lat.flat_masks, lat.ranks)) == want
+    sizes["K7"] = len(want)
+    # a forest's edge sets are all flats; a cycle's, all but the 10 of
+    # size 9; K7's, the Bell number B7
+    assert sizes == {"P12": 2 ** 11, "C10": 2 ** 10 - 10, "K7": 877}
 
 
 def test_partition_lattice_sizes(pi2, pi3, pi4):

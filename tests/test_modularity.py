@@ -1,12 +1,17 @@
+import random
+
 import pytest
 
 from mdg.corpus import (
+    build_corpus_lattice,
     complete_graph_edges,
+    corpus_names,
     cycle_graph_edges,
     path_graph_edges,
 )
 from mdg.errors import NotGeometric, NotModular
-from mdg.lattice import interval, restriction
+from mdg.extensions import catalog
+from mdg.lattice import build_boolean, build_from_graph, interval, restriction
 from mdg.modularity import (
     chordality_crosscheck,
     diamond_iso,
@@ -170,3 +175,67 @@ def test_supersolvable_rejects_trivial():
     one = GeometricLattice((), [0], validate=False)
     with pytest.raises(NotGeometric):
         is_supersolvable(one)
+
+
+def _rank_form_modular(lat, f):
+    """r(F ∧ G) + r(F ∨ G) = r(F) + r(G) for every flat G."""
+    ranks = lat.ranks
+    return all(ranks[lat.meet(f, g)] + ranks[lat.join(f, g)]
+               == ranks[f] + ranks[g] for g in range(lat.n_flats))
+
+
+def _rank_form_chain(lat, opened):
+    """The modular-chain search by the rank form alone, appending every
+    interval [0, c] it opens to ``opened``."""
+    if lat.rank <= 1:
+        return [lat.bottom] if lat.rank == 0 else [lat.bottom, lat.top]
+    coatoms = sorted((c for c in lat.by_rank[lat.rank - 1]
+                      if _rank_form_modular(lat, c)), key=lat.atoms_of)
+    for c in coatoms:
+        sub, to_parent, _ = interval(lat, lat.bottom, c)
+        opened.append(sub)
+        subchain = _rank_form_chain(sub, opened)
+        if subchain is not None:
+            return [to_parent[f] for f in subchain] + [lat.top]
+    return None
+
+
+def _criterion_lattices():
+    for name in corpus_names():
+        yield name, build_corpus_lattice(name)
+    # every simple matroid on at most 7 points, with a point pinned
+    for i, entry in enumerate(catalog(build_boolean(1), 6, 6)):
+        yield f"census {i}", entry.lat
+    rng = random.Random(2027)
+    for i in range(300):
+        nv = rng.randint(2, 7)
+        edges = [(u, v) for u in range(nv) for v in range(u + 1, nv)
+                 if rng.random() < 0.6] or [(0, 1)]
+        yield f"graph {i} {edges}", build_from_graph(edges)
+
+
+def test_modular_coatoms_agree_with_the_rank_form():
+    # the coatom line test against the rank form on every coatom, and the
+    # chain search against a copy of the rank-form search, on the corpus,
+    # the simple matroids on at most 7 points and 300 random graphs
+    n_lattices = n_coatoms = 0
+    for name, lat in _criterion_lattices():
+        opened = []
+        want_chain = _rank_form_chain(lat, opened)
+        for sub in [lat] + opened:
+            want = [c for c in sub.by_rank[sub.rank - 1]
+                    if _rank_form_modular(sub, c)]
+            assert modular_coatoms(sub) == want, name
+            n_lattices += 1
+            n_coatoms += len(sub.by_rank[sub.rank - 1])
+        chain = is_supersolvable(lat)
+        if want_chain is None:
+            assert chain is None, name
+            continue
+        assert chain.flats == tuple(want_chain), name
+        masks = [lat.flat_masks[f] for f in want_chain]
+        assert chain.j_sets == tuple(
+            frozenset(a for k, a in enumerate(lat.atoms) if (hi & ~lo) >> k & 1)
+            for lo, hi in zip(masks, masks[1:])), name
+    # 15 + 324 + 300 lattices and the 793 intervals the search opens
+    assert (n_lattices, n_coatoms) == (1432, 12535)
