@@ -14,7 +14,10 @@ lattice is spanned by the base image and the word, so that atom is a
 coloop, a factor missing the base.
 
 The differential, products and coproducts of canonical diagrams are
-computed once and kept on their algebra.
+computed once and kept on their algebra.  Their words hold every atom of
+the interval or pushout they span outside its base image, so only the
+repeated-letter rule reads the word: that lattice is kept as its map into
+its canonical entry.
 """
 
 from __future__ import annotations
@@ -30,7 +33,9 @@ from .errors import (
     NotGeometric,
     NotIso,
 )
-from .extensions import CatalogEntry, ModularExtension, catalog, entry_for
+from . import lattice
+from .extensions import (CatalogEntry, ModularExtension, _fresh_labels,
+                         catalog, entry_for)
 from .lattice import (Embedding, GeometricLattice, _atoms_mask, _check_flats,
                       _mask_atoms, _merge_sign, _restrict, _word_sign,
                       interval_at, parallel_connection, same_lattice)
@@ -111,6 +116,11 @@ class Combination:
         return f"Combination({self.coeffs!r})"
 
 
+def _vector(x):
+    """A diagram as a one-term combination; a combination as itself."""
+    return Combination().add_term(1, x) if isinstance(x, Diagram) else x
+
+
 _ALGEBRAS = {}
 
 
@@ -118,8 +128,7 @@ def algebra_for(base: GeometricLattice) -> "DiagramAlgebra":
     sig = (base.atoms, base.flat_masks)   # the identity of same_lattice
     alg = _ALGEBRAS.get(sig)
     if alg is None:
-        alg = DiagramAlgebra(base)
-        _ALGEBRAS[sig] = alg
+        alg = _ALGEBRAS[sig] = DiagramAlgebra(base)
     return alg
 
 
@@ -131,7 +140,7 @@ class DiagramAlgebra:
             raise NotGeometric("modular diagrams of the one-point lattice "
                                "are not defined")
         self.base = base
-        self._pushout_cache = {}    # (cert1, cert2) -> pushout machinery
+        self._pushout_cache = {}    # sorted (cert1, cert2) -> (map, pos2)
         self._diagrams = {}         # (certificate, word) -> Diagram
         # structure maps of canonical diagrams, as ((term, coeff), ...)
         self._differentials = {}    # Diagram -> terms
@@ -146,25 +155,50 @@ class DiagramAlgebra:
         or (0, ZERO)."""
         if len(set(word_positions)) != len(word_positions):
             return 0, ZERO
-        base_img = _atoms_mask(atom_map)
-        word_mask = _atoms_mask(word_positions)
-        needed = base_img | word_mask
+        needed = _atoms_mask(atom_map) | _atoms_mask(word_positions)
         if lat.ranks[lat.closure(needed)] < lat.rank:
             return 0, ZERO  # word and base do not span the top
         if needed != (1 << lat.n_atoms) - 1:
             lat, pos = _restrict(lat, needed)
             atom_map = tuple(pos[p] for p in atom_map)
             word_positions = tuple(pos[p] for p in word_positions)
-            base_img = _atoms_mask(atom_map)
-            word_mask = _atoms_mask(word_positions)
+        return self._through(self._entry_map(lat, atom_map), word_positions)
+
+    def _entry_map(self, lat, atom_map):
+        """What ``normalize_raw`` makes of ``lat``, base image ``atom_map``,
+        for any word holding every other atom: (entry, perm), ``perm`` the
+        canonical position of each atom, or None: every such word vanishes."""
         # the lattice rules come before the canonical search, which is dearer
-        if _lattice_kills(lat, base_img, word_mask):
-            return 0, ZERO
+        if _lattice_kills(lat, _atoms_mask(atom_map)):
+            return None
         entry, perm = entry_for(self.base, lat, tuple(atom_map))
-        if entry.has_odd_aut:
+        return None if entry.has_odd_aut else (entry, perm)
+
+    def _through(self, emap, word):
+        """Normalize a word without repeats through an ``_entry_map``."""
+        if emap is None:
             return 0, ZERO
-        sorted_word, sign = _word_sign(tuple(perm[p] for p in word_positions))
+        entry, perm = emap
+        sorted_word, sign = _word_sign(tuple(perm[p] for p in word))
         return sign, self._diagram(entry, sorted_word)
+
+    def _over_interval(self, entry, lo, hi, reps, word):
+        """``normalize_raw`` over [lo, hi] of the entry, base atoms at the
+        images of ``reps``, for a word holding every new atom.  The entry
+        keeps the interval until a word without repeats needs its map."""
+        maps, key = entry.interval_maps, (lo, hi)
+        if key not in maps:
+            # through the module, so that the builds can be counted
+            sub, *_, pos = lattice._interval(entry.lat, lo, hi)
+            maps[key] = (sub, pos)
+        emap, pos = maps[key]
+        word = [pos[p] for p in word]
+        if len(set(word)) != len(word):
+            return 0, ZERO
+        if isinstance(emap, GeometricLattice):
+            emap = self._entry_map(emap, tuple(pos[a] for a in reps))
+            maps[key] = (emap, pos)
+        return self._through(emap, word)
 
     def _diagram(self, entry: CatalogEntry, sorted_word):
         """The diagram of a surviving sorted word over a canonical entry."""
@@ -196,13 +230,13 @@ class DiagramAlgebra:
 
     def unit(self) -> Diagram:
         sign, diag = self.normalize_raw(self.base,
-                                        tuple(range(self.base.n_atoms)), ())
+                                        range(self.base.n_atoms), ())
         assert sign == 1
         return diag
 
     def atom_diagram(self, label) -> Diagram:
         sign, diag = self.normalize_raw(self.base,
-                                        tuple(range(self.base.n_atoms)),
+                                        range(self.base.n_atoms),
                                         (self.base.atom_index[label],))
         assert sign == 1 and diag is not ZERO
         return diag
@@ -228,12 +262,12 @@ class DiagramAlgebra:
         if not 0 <= position < len(word):
             raise NotContractible(f"no word position {position}")
         p = word[position]
-        if p < diag.entry.n_base:
+        entry = diag.entry
+        if p < entry.n_base:
             raise NotContractible("atom lies below the base image")
-        lat = diag.entry.lat
-        sub, _, _, pos = interval_at(lat, diag.entry.atom_flats[p], lat.top)
-        return self.normalize_raw(sub, pos[:diag.entry.n_base],
-                                  tuple(pos[q] for q in word if q != p))
+        return self._over_interval(entry, entry.atom_flats[p], entry.lat.top,
+                                   range(entry.n_base),
+                                   [q for q in word if q != p])
 
     def _own(self, diag: Diagram):
         if diag.algebra is not self:
@@ -260,23 +294,19 @@ class DiagramAlgebra:
     # product
 
     def _pushout_machinery(self, e1: CatalogEntry, e2: CatalogEntry):
-        key = (e1.certificate, e2.certificate)
-        hit = self._pushout_cache.get(key)
-        if hit is not None:
-            return hit
+        """The pushout of two entries along the base, and the position
+        there of each atom of ``e2``; ``e1``'s atoms keep theirs."""
         base = self.base
         nb = base.n_atoms
         l1, l2 = e1.lat, e2.lat
-        n1 = l1.n_atoms - nb
-        labels = list(base.atoms)
-        labels += [f"p{k+1}" for k in range(n1 + (l2.n_atoms - nb))]
+        n1 = e1.level
+        labels = base.atoms + _fresh_labels("p", n1 + e2.level,
+                                            base.atom_index)
         # the second side's new atoms follow the first side's
         pos2 = tuple(i if i < nb else i + n1 for i in range(l2.n_atoms))
-        lat = parallel_connection(l1, range(l1.n_atoms), l2, pos2,
-                                  (1 << nb) - 1, base.rank_of_mask, labels)
-        machinery = (lat, pos2)
-        self._pushout_cache[key] = machinery
-        return machinery
+        return parallel_connection(l1, range(l1.n_atoms), l2, pos2,
+                                   (1 << nb) - 1, base.rank_of_mask,
+                                   labels), pos2
 
     def product(self, d1: Diagram, d2: Diagram) -> Combination:
         self._own(d1)
@@ -289,9 +319,18 @@ class DiagramAlgebra:
                 # both words repeats: normalize_raw's zero, without a pushout
                 terms = ()
             else:
-                lat, pos2 = self._pushout_machinery(d1.entry, d2.entry)
-                word = d1.word + tuple(pos2[p] for p in d2.word)
-                sign, res = self.normalize_raw(lat, tuple(range(nb)), word)
+                # one pushout for both orders, the lesser certificate first;
+                # the word keeps the order asked for, and so the sign
+                a, b = sorted((d1, d2), key=lambda d: d.entry.certificate)
+                key = (a.entry.certificate, b.entry.certificate)
+                if key not in self._pushout_cache:
+                    lat, pos2 = self._pushout_machinery(a.entry, b.entry)
+                    self._pushout_cache[key] = (
+                        self._entry_map(lat, range(nb)), pos2)
+                emap, pos2 = self._pushout_cache[key]
+                w2 = tuple(pos2[p] for p in b.word)
+                sign, res = self._through(emap, a.word + w2 if a is d1
+                                          else w2 + a.word)
                 terms = () if res is ZERO else ((res, sign),)
             self._products[d1, d2] = terms
         return Combination(terms)
@@ -308,13 +347,9 @@ class DiagramAlgebra:
     # comparison morphism into the Orlik-Solomon algebra
 
     def to_os(self, diag_or_vec) -> OSElement:
-        if isinstance(diag_or_vec, Diagram):
-            vec = Combination().add_term(1, diag_or_vec)
-        else:
-            vec = diag_or_vec
         reduce_set = os_context(self.base).reduce_set
         out = {}
-        for d, c in vec.coeffs.items():
+        for d, c in _vector(diag_or_vec).coeffs.items():
             self._own(d)
             if any(p >= d.entry.n_base for p in d.word):
                 continue  # some word atom is contractible: maps to zero
@@ -350,13 +385,8 @@ class DiagramAlgebra:
         it vanishes.
         """
         base = self.base
-        lowL, _, _, low_pos = interval_at(base, base.bottom, flat)
-        upL, _, _, up_pos = interval_at(base, flat, base.top)
-        low_alg = algebra_for(lowL)
-        up_alg = algebra_for(upL)
-        # one base atom for each atom of the two base intervals
-        low_reps = _first_atoms(low_pos, lowL.n_atoms)
-        up_reps = _first_atoms(up_pos, upL.n_atoms)
+        low_alg, low_reps = _base_factor(base, base.bottom, flat)
+        up_alg, up_reps = _base_factor(base, flat, base.top)
         entry = diag.entry
         lat = entry.lat
         masks = lat.flat_masks
@@ -370,18 +400,14 @@ class DiagramAlgebra:
             # upper factor: interval above f, base = interval above flat.
             # f meets the base in flat, so a base atom outside flat lies
             # outside f and f v a covers f.
-            sub_up, _, _, pos = interval_at(lat, f, lat.top)
-            s_up, d_up = up_alg.normalize_raw(
-                sub_up, tuple(pos[a] for a in up_reps),
-                tuple(pos[p] for p in _mask_atoms(out_mask)))
+            s_up, d_up = up_alg._over_interval(entry, f, lat.top, up_reps,
+                                               _mask_atoms(out_mask))
             if d_up is ZERO:
                 continue
 
             # lower factor: interval below f, base = interval below flat
-            sub_lo, _, _, pos = interval_at(lat, lat.bottom, f)
-            s_lo, d_lo = low_alg.normalize_raw(
-                sub_lo, tuple(pos[a] for a in low_reps),
-                tuple(pos[p] for p in _mask_atoms(in_mask)))
+            s_lo, d_lo = low_alg._over_interval(entry, lat.bottom, f,
+                                                low_reps, _mask_atoms(in_mask))
             if d_lo is ZERO:
                 continue
             out.add_term(_merge_sign(in_mask, out_mask) * s_lo * s_up,
@@ -403,40 +429,35 @@ class DiagramAlgebra:
         if tgt.n_atoms != self.base.n_atoms or tgt.n_flats != self.base.n_flats:
             raise NotIso("not an isomorphism")
         algebra_for(tgt)._own(diag)
-        atom_map = tuple(iso.atom_map[i] for i in range(self.base.n_atoms))
-        return self.normalize_raw(diag.entry.lat, atom_map, diag.word)
+        return self.normalize_raw(diag.entry.lat, iso.atom_map, diag.word)
 
     def grading_restrict(self, diag: Diagram):
         """MD(L, F) -> MD([0,F], top): restrict the extension below the image
         of the grading flat."""
         self._own(diag)
         flat = diag.grading
-        lowL, _, _, low_pos = interval_at(self.base, self.base.bottom, flat)
-        low_alg = algebra_for(lowL)
-        lat = diag.entry.lat
-        sub, pos = _restrict(lat, self.base.flat_masks[flat]
+        low_alg, reps = _base_factor(self.base, self.base.bottom, flat)
+        sub, pos = _restrict(diag.entry.lat, self.base.flat_masks[flat]
                              | _atoms_mask(diag.word))
-        atom_map = tuple(pos[a] for a in _first_atoms(low_pos, lowL.n_atoms))
-        word = tuple(pos[p] for p in diag.word)
-        return low_alg.normalize_raw(sub, atom_map, word)
+        return low_alg.normalize_raw(sub, tuple(pos[a] for a in reps),
+                                     tuple(pos[p] for p in diag.word))
 
     def grading_extend(self, flat: int, low_diag: Diagram):
         """MD([0,F], top) -> MD(L, F): push the extension out along the base."""
         base = self.base
-        lowL, _, _, low_pos = interval_at(base, base.bottom, flat)
-        algebra_for(lowL)._own(low_diag)
-        lat = low_diag.entry.lat
+        low_alg, pos = _base_factor(base, base.bottom, flat)
+        low_alg._own(low_diag)
         n_new = low_diag.entry.level
         # the low base atoms sit at their base positions, the new atoms last
-        pos = _first_atoms(low_pos, lowL.n_atoms)
         pos += [base.n_atoms + k for k in range(n_new)]
 
-        labels = list(base.atoms) + [f"q{k+1}" for k in range(n_new)]
-        big = parallel_connection(base, range(base.n_atoms), lat, pos,
+        labels = base.atoms + _fresh_labels("q", n_new, base.atom_index)
+        big = parallel_connection(base, range(base.n_atoms),
+                                  low_diag.entry.lat, pos,
                                   base.flat_masks[flat], base.rank_of_mask,
                                   labels)
-        word = tuple(pos[p] for p in low_diag.word)
-        return self.normalize_raw(big, tuple(range(base.n_atoms)), word)
+        return self.normalize_raw(big, range(base.n_atoms),
+                                  tuple(pos[p] for p in low_diag.word))
 
     # ------------------------------------------------------------------
     # bounded bases and cohomology
@@ -451,12 +472,8 @@ class DiagramAlgebra:
         # the third slot goes when bench/worker.py drops AXIOM_CAP
         blocks = {}
         for entry in catalog(self.base, *bounds[:2]):
-            lat = entry.lat
-            # a flat above the base top holds every base atom, so the
-            # modular-flat rule reads the new atoms only
-            new_mask = ((1 << lat.n_atoms) - 1) ^ entry.base_mask
-            if entry.has_odd_aut or _lattice_kills(lat, entry.base_mask,
-                                                   new_mask):
+            new_mask = ((1 << entry.lat.n_atoms) - 1) ^ entry.base_mask
+            if entry.has_odd_aut or _lattice_kills(entry.lat, entry.base_mask):
                 continue
             for smask in range(1 << entry.n_base):
                 word = tuple(_mask_atoms(new_mask | smask))
@@ -578,22 +595,29 @@ def _cover_repeats(entry: CatalogEntry, f, out_mask):
     return False
 
 
-def _lattice_kills(lat, base_mask, word_mask):
-    """Whether a lattice rule kills the word ``word_mask`` over ``lat``,
-    which it spans with the base image ``base_mask``."""
+def _lattice_kills(lat, base_mask):
+    """Whether a lattice rule kills the words over ``lat`` holding every
+    atom outside the base image ``base_mask``."""
     return (_splits_off_base(lat, base_mask, 0, lat.flat_masks[lat.top])
-            or _modular_flat_kills(lat, base_mask, word_mask))
+            or _modular_flat_kills(lat, base_mask))
 
 
-def _modular_flat_kills(lat, base_mask, word_mask):
-    """Whether a modular flat above the base image has exactly two word
-    atoms outside it.  With one, the flat is a hyperplane whose complement
-    is a coloop, a factor missing the base that ``_splits_off_base`` finds."""
+def _modular_flat_kills(lat, base_mask):
+    """Whether a modular flat above the base image misses exactly two
+    (word) atoms.  With one, the flat is a hyperplane whose complement is
+    a coloop, a factor missing the base that ``_splits_off_base`` finds."""
     masks = lat.flat_masks
     top_mask = masks[lat.closure(base_mask)]
     return any(m & top_mask == top_mask
-               and (word_mask & ~m).bit_count() == 2
+               and m.bit_count() == lat.n_atoms - 2
                and is_modular(lat, f) for f, m in enumerate(masks))
+
+
+def _base_factor(base, lo, hi):
+    """The algebra of the base interval [lo, hi] and, for each of its
+    atoms, the first base atom there."""
+    sub, _, _, pos = interval_at(base, lo, hi)
+    return algebra_for(sub), _first_atoms(pos, sub.n_atoms)
 
 
 def _first_atoms(pos, n):
@@ -688,18 +712,12 @@ def contractible_atoms(diag: Diagram, base: GeometricLattice):
 
 def differential(base: GeometricLattice, vec) -> Combination:
     alg = algebra_for(base)
-    if isinstance(vec, Diagram):
-        vec = Combination().add_term(1, vec)
-    return alg.differential(vec)
+    return alg.differential(_vector(vec))
 
 
 def product(base: GeometricLattice, d1, d2) -> Combination:
     alg = algebra_for(base)
-    if isinstance(d1, Diagram):
-        d1 = Combination().add_term(1, d1)
-    if isinstance(d2, Diagram):
-        d2 = Combination().add_term(1, d2)
-    return alg.product_vectors(d1, d2)
+    return alg.product_vectors(_vector(d1), _vector(d2))
 
 
 def I_morphism(base: GeometricLattice, diag_or_vec) -> OSElement:

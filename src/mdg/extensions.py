@@ -224,6 +224,13 @@ def pushout(ext1: ModularExtension, ext2: ModularExtension, *, name=None):
     return result, Embedding(e1, lat, pos1), Embedding(e2, lat, pos2)
 
 
+def _fresh_labels(prefix, n, used):
+    """The first ``n`` of the labels prefix1, prefix2, ... not in ``used``."""
+    free = (f"{prefix}{k}" for k in itertools.count(1)
+            if f"{prefix}{k}" not in used)
+    return tuple(itertools.islice(free, n))
+
+
 def _fresh_label(lab, used):
     k = 2
     while f"{lab}#{k}" in used:
@@ -312,7 +319,7 @@ class CatalogEntry:
 
     __slots__ = ("lat", "n_base", "certificate", "top", "automorphisms",
                  "has_odd_aut", "atom_flats", "live_flats", "children",
-                 "coloop")
+                 "coloop", "interval_maps")
 
     def __init__(self, lat, n_base, certificate, top, automorphisms):
         self.lat = lat
@@ -331,6 +338,8 @@ class CatalogEntry:
         self.live_flats = None  # filled by diagrams._live_flats
         self.children = None    # filled by _children
         self.coloop = None      # filled by catalog, like children
+        # (lo, hi) -> the interval, then its map; filled by diagrams
+        self.interval_maps = {}
 
     @property
     def level(self):
@@ -385,9 +394,7 @@ def _entry_of_form(base, lat, cf):
     perm = cf.perm
     n = len(perm)
     inv = sorted(range(n), key=perm.__getitem__)
-    free = (f"e{k}" for k in itertools.count(1)
-            if f"e{k}" not in base.atom_index)
-    new = tuple(itertools.islice(free, n - base.n_atoms))
+    new = _fresh_labels("e", n - base.n_atoms, base.atom_index)
     ranks = dict(zip(cf.flat_masks, lat.ranks))
     canon_lat = GeometricLattice(
         base.atoms + new, ranks, ranks=ranks, validate=False,

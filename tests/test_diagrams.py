@@ -1,4 +1,5 @@
 import dataclasses
+import random
 from collections import Counter
 
 import pytest
@@ -33,6 +34,7 @@ from mdg.lattice import (
     build_from_graph,
     build_partition_lattice,
     direct_product,
+    _interval,
     identity_embedding,
     interval_at,
     restriction,
@@ -342,6 +344,38 @@ def test_grading_component_iso_roundtrip(pi4):
     assert checked
 
 
+def test_built_lattices_skip_the_base_labels():
+    # the pushout names its new atoms p1, p2, ... and the grading extension
+    # q1, q2, ..., past the base's own labels: bases labelled so give the
+    # axiom suite's statuses and counts of one labelled x1, x2, ..., and
+    # a grading component pushed out along a proper flat comes back
+    for name, bounds in (("pi3", (4, 2)), ("pi4", (3, 2))):
+        lat = build_corpus_lattice(name)
+        checks = []
+        for prefix in "pqx":
+            copy = GeometricLattice([f"{prefix}{k + 1}"
+                                     for k in range(lat.n_atoms)],
+                                    lat.flat_masks)
+            rep = run_axiom_suite(copy, *bounds)
+            assert rep.passed
+            checks.append(rep.checks)
+        assert checks[0] == checks[1] == checks[2]
+    q4 = GeometricLattice([f"q{k + 1}" for k in range(6)],
+                          build_corpus_lattice("pi4").flat_masks)
+    alg = algebra_for(q4)
+    pushed = 0
+    for diag in (d for ds in alg.diagrams_within((3, 2)).values()
+                 for d in ds):
+        if diag.grading in (q4.bottom, q4.top):
+            continue
+        s, low = alg.grading_restrict(diag)
+        if low.entry.level:
+            s2, back = alg.grading_extend(diag.grading, low)
+            assert back == diag and s * s2 == 1
+            pushed += 1
+    assert pushed
+
+
 def test_diagram_equality_needs_the_same_base(pi3, b3):
     # diagrams compare by identity: never equal across bases, even with the
     # same certificate and word, and a rebuilt lattice gets the same object
@@ -521,6 +555,98 @@ def test_coproduct_matches_the_reference_split(name, bounds, step, request):
     assert nonzero
 
 
+# the coproduct oracle's bases, with their nonzero contractions: b3 (4,2)
+# has only diagrams over the base itself, with nothing to contract
+CONTRACTION_ORACLE = [("pi4", (3, 2), 1, 192), ("b3", (4, 2), 1, 0),
+                      ("plane8", (3, 2), 10, 219)]
+
+
+@pytest.mark.parametrize("name,bounds,step,n_nonzero", CONTRACTION_ORACLE,
+                         ids=[n for n, *_ in CONTRACTION_ORACLE])
+def test_contractions_match_a_fresh_interval(name, bounds, step, n_nonzero,
+                                             request):
+    # a contraction, read through the entry's map of [a, top], is what
+    # normalize_raw makes of that interval built afresh
+    base = request.getfixturevalue(name)
+    alg = DiagramAlgebra(base)
+    diags = [d for ds in alg.diagrams_within(bounds).values() for d in ds]
+    nonzero = 0
+    for d in diags[::step]:
+        entry = d.entry
+        for k in alg.contractible_positions(d):
+            p = d.word[k]
+            sub, _, _, pos = _interval(entry.lat, entry.atom_flats[p],
+                                       entry.lat.top)
+            want = alg.normalize_raw(sub, pos[:entry.n_base],
+                                     tuple(pos[q] for q in d.word if q != p))
+            assert alg.contract(d, k) == want, (d.key, k)
+            nonzero += want[1] is not ZERO
+    assert nonzero == n_nonzero
+
+
+def test_products_match_a_fresh_pushout(pi3, pi4):
+    # a product, read through the pushout's map, is what normalize_raw
+    # makes of the pushout built afresh, with the first factor's word
+    # first; the other order gives the sign of graded commutativity.
+    # pi3 (4,2) has nonzero products of two diagrams over one entry with
+    # new atoms, which a map keyed by entry would confuse; pi4 (3,2) none
+    rng = random.Random(0)
+    for base, bounds, n_pairs, same in ((pi3, (4, 2), None, 27),
+                                        (pi4, (3, 2), 2000, 0)):
+        alg = DiagramAlgebra(base)
+        nb = base.n_atoms
+        diags = [d for ds in alg.diagrams_within(bounds).values() for d in ds]
+        if n_pairs is None:
+            pairs = [(d1, d2) for d1 in diags for d2 in diags]
+        else:
+            pairs = [(rng.choice(diags), rng.choice(diags))
+                     for _ in range(n_pairs)]
+        over_one_entry = 0
+        for d1, d2 in pairs:
+            got = alg.product(d1, d2)
+            lat, pos2 = alg._pushout_machinery(d1.entry, d2.entry)
+            s, d = alg.normalize_raw(lat, tuple(range(nb)),
+                                     d1.word + tuple(pos2[p] for p in d2.word))
+            assert got == Combination().add_term(s, d), (d1.key, d2.key)
+            sign = (-1) ** (len(d1.word) * len(d2.word))
+            assert alg.product(d2, d1) == got.scale(sign)
+            over_one_entry += (d1.entry is d2.entry and d1.entry.level > 0
+                               and not got.is_zero)
+        assert over_one_entry == same
+    assert len(pairs) == 2000 and len(diags) ** 2 > 2000
+
+
+def test_structure_maps_keep_no_lattice(monkeypatch):
+    # after every differential, product and coproduct of the pi4 (3,2)
+    # basis on a fresh algebra, no entry lattice holds an interval, and
+    # each map a word has resolved, like each kept pushout, holds a
+    # canonical entry and atom positions, never a lattice
+    monkeypatch.setattr(mdg.diagrams, "_ALGEBRAS", {})
+    base = build_partition_lattice(4)
+    alg = algebra_for(base)
+    diags = [d for ds in alg.diagrams_within((3, 2)).values() for d in ds]
+    proper = [f for f in range(base.n_flats)
+              if f not in (base.bottom, base.top)]
+    for d in diags:
+        alg.differential_diagram(d)
+        for f in proper:
+            alg.coproduct(d, f)
+        for d2 in diags:
+            alg.product(d, d2)
+
+    def holds_lattice(x):
+        return isinstance(x, GeometricLattice) or (
+            isinstance(x, tuple) and any(map(holds_lattice, x)))
+    entries = [e for a in mdg.diagrams._ALGEBRAS.values()
+               for e in mdg.extensions._tables(a.base)[0].values()]
+    resolved = [m for e in entries for m in e.interval_maps.values()
+                if not isinstance(m[0], GeometricLattice)]
+    assert len(mdg.diagrams._ALGEBRAS) > 1 and resolved and alg._pushout_cache
+    assert all(e.lat._intervals is None for e in entries)
+    assert not any(map(holds_lattice, resolved))
+    assert not any(map(holds_lattice, alg._pushout_cache.values()))
+
+
 def test_structure_maps_skip_what_they_would_throw_away(monkeypatch):
     # a cold algebra on a fresh pi4 takes every differential and every
     # coproduct of its (3,2) basis.  Pinned: the intervals built (none for
@@ -558,7 +684,7 @@ def test_structure_maps_skip_what_they_would_throw_away(monkeypatch):
     # per (diagram, flat), keying the forms on labels and building an entry
     # lattice per form gave 204, 25102, 77 and 77; a raw-form table apart
     # from the catalog's root gave 51 forms
-    assert calls == {"_interval": 168, "_splits_off_base": 3052,
+    assert calls == {"_interval": 168, "_splits_off_base": 498,
                      "canonical_form": 50, "CatalogEntry": 36}
 
 

@@ -196,6 +196,18 @@ def test_cli_lattice_file(tmp_path):
     assert code == 0 and json.loads(out)["j_sizes"] == [1, 2]
 
 
+def test_cli_axioms_on_a_base_labelled_like_the_pushout_atoms(tmp_path):
+    # the product's pushout names its new atoms p1, p2, ... past the base's
+    spec = {"kind": "flats", "atoms": ["p1", "p2", "p3"],
+            "flats": [[], ["p1"], ["p2"], ["p3"], ["p1", "p2", "p3"]]}
+    path = tmp_path / "p3.json"
+    path.write_text(json.dumps(spec))
+    code, out = run_cli("axioms", "--lattice", str(path), "--json",
+                        "--max-atoms", "4", "--max-rank", "2")
+    assert code == 0
+    assert all(c["status"] == "PASS" for c in json.loads(out)["checks"])
+
+
 def test_cli_modular_witness():
     code, out = run_cli("modular", "--lattice", "plane8", "--flat", "a,e",
                         "--json")
