@@ -17,7 +17,8 @@ from .diagrams import (
     stable_degrees,
 )
 from .extensions import catalog
-from .lattice import GeometricLattice, _atoms_mask, _restrict, interval_at
+from .lattice import (GeometricLattice, _atoms_mask, _interval, _restrict,
+                      interval_at)
 from .modularity import (
     is_supersolvable,
     modular_characterizations_agree,
@@ -379,7 +380,7 @@ def _refactors(alg, diag) -> bool:
     irreducible extensions, by remultiplying the factors."""
     lat = diag.entry.lat
     nb = diag.entry.n_base
-    sub, _, _, pos = interval_at(lat, diag.entry.top, lat.top)
+    sub, _, _, pos = _interval(lat, diag.entry.top, lat.top)
     supports = sub.factor_supports()
     base_word = [p for p in diag.word if p < nb]
     new_word = [p for p in diag.word if p >= nb]

@@ -262,21 +262,15 @@ class GeometricLattice:
         idx = self.flat_index.get(mask)
         if idx is not None:
             return idx
-        for level in self.by_rank:
+        # a mask that is not a flat has two atoms or more
+        for level in self.by_rank[2:]:
             for i in level:
                 if self.flat_masks[i] & mask == mask:
                     return i
         raise ForeignFlat("atom mask outside the lattice")
 
     def join(self, a: int, b: int) -> int:
-        u = self.flat_masks[a] | self.flat_masks[b]
-        idx = self.flat_index.get(u)
-        if idx is not None:
-            return idx
-        for r in range(max(self.ranks[a], self.ranks[b]) + 1, self.rank + 1):
-            for i in self.by_rank[r]:
-                if self.flat_masks[i] & u == u:
-                    return i
+        return self.closure(self.flat_masks[a] | self.flat_masks[b])
 
     def meet(self, a: int, b: int) -> int:
         return self.flat_index[self.flat_masks[a] & self.flat_masks[b]]

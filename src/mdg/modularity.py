@@ -5,53 +5,42 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotGeometric, NotModular
-from .lattice import GeometricLattice, interval, _check_flats, build_from_graph
+from .lattice import GeometricLattice, _check_flats, build_from_graph
 
 
 def is_modular(lat: GeometricLattice, f: int, *, with_witness=False):
-    """Rank characterization of modularity; optional minimal witness on failure.
+    """Modularity of F; with a witness, also the least-rank flat failing
+    the rank form, ties broken by its atom-label tuple.
 
-    The witness is the failing flat of least rank, ties broken by the
-    lexicographic order of its atom-label tuple.
-
-    Without a witness, a coatom H of a lattice of rank r >= 2 is modular
-    exactly when every line (rank-2 flat) meets it (Stanley, *Modular
-    elements of geometric lattices*, Algebra Universalis 1971).  If H is
-    modular, a line L not below H has r(H ∧ L) = (r-1) + 2 - r = 1.  If not,
-    some G not below H has X = H ∧ G of rank <= r(G) - 2 (semimodularity),
-    so [X, G] has covers Y1 != Y2 of X, with atoms p <= Y1 and q <= Y2
-    outside X, so outside H; an atom s of H on p ∨ q is below G, so below
-    X, so q <= p ∨ s <= Y1 and Y2 = X ∨ q = Y1: the line p ∨ q misses H.
+    Without one, F is modular exactly when F is the bottom or F meets every
+    flat of rank r + 1 - r(F), for r the lattice rank; Stanley's line test
+    (*Algebra Universalis* 1971) is the coatom case.  If F is modular, then
+    r(F ∧ Y) >= r(F) + r(Y) - r(F ∨ Y) >= 1.  Conversely, if F ∧ Y = 0 then
+    r(F ∨ Y) = r(F) + r(Y) (Brylawski, Trans. AMS 1975): else a flat W >= Y
+    missing F of largest rank has F ∨ W the top (an atom p outside it gives
+    W ∨ p, still missing F by exchange), so semimodularity on F ∨ Y and W
+    gives r(W) >= r + 1 - r(F), and W holds a flat of that rank missing F.
+    For any Y, atoms C extending a basis of F ∧ Y to one of Y span a flat
+    missing F, with the same join with F, and of rank r(Y) - r(F ∧ Y).
     """
     _check_flats(lat, f)
     rf = lat.ranks[f]
-    if not with_witness and rf == lat.rank - 1 >= 1:
+    if not with_witness:
         masks = lat.flat_masks
         h = masks[f]
-        return all(masks[line] & h for line in lat.by_rank[2])
-    witness = None
-    ok = True
-    for g in range(lat.n_flats):
-        if lat.ranks[lat.meet(f, g)] + lat.ranks[lat.join(f, g)] != rf + lat.ranks[g]:
-            ok = False
-            if not with_witness:
-                break
-            if witness is None:
-                witness = g
-            else:
-                cand = (lat.ranks[g], lat.atoms_of(g))
-                best = (lat.ranks[witness], lat.atoms_of(witness))
-                if cand < best:
-                    witness = g
-    if with_witness:
-        return ok, witness
-    return ok
+        return not h or all(masks[y] & h for y in lat.by_rank[lat.rank + 1 - rf])
+    failing = [g for g in range(lat.n_flats)
+               if lat.ranks[lat.meet(f, g)] + lat.ranks[lat.join(f, g)]
+               != rf + lat.ranks[g]]
+    witness = min(failing, key=lambda g: (lat.ranks[g], lat.atoms_of(g)),
+                  default=None)
+    return witness is None, witness
 
 
 def modular_characterizations_agree(lat: GeometricLattice, f: int) -> bool:
-    """Evaluate the three equivalent forms of modularity independently."""
+    """Evaluate four equivalent forms of modularity independently."""
     _check_flats(lat, f)
-    rank_form = is_modular(lat, f)
+    rank_form = is_modular(lat, f, with_witness=True)[0]
 
     flats = range(lat.n_flats)
     meets = [lat.meet(f, b) for b in flats]     # F ∧ B, which is B ∧ F
@@ -62,7 +51,7 @@ def modular_characterizations_agree(lat: GeometricLattice, f: int) -> bool:
     # B ∧ (A ∨ F) == A ∨ (B ∧ F) for all A <= B
     dist2 = all(lat.meet(b, joins[a]) == lat.join(a, meets[b])
                 for a in flats for b in flats if lat.leq(a, b))
-    return rank_form == dist1 == dist2
+    return is_modular(lat, f) == rank_form == dist1 == dist2
 
 
 def diamond_iso(lat: GeometricLattice, f_modular: int, f_other: int):
@@ -71,6 +60,7 @@ def diamond_iso(lat: GeometricLattice, f_modular: int, f_other: int):
     Returns (forward, backward) as dicts on flat indices; both are verified
     to be mutually inverse before returning.
     """
+    _check_flats(lat, f_modular, f_other)
     if not is_modular(lat, f_modular):
         raise NotModular("flat is not modular",
                          witness=lat.atoms_of(f_modular))
@@ -117,14 +107,16 @@ class ModularChain:
 
 
 def is_supersolvable(lat: GeometricLattice):
-    """Search for a maximal chain of modular flats, top-down over coatoms.
+    """Search for a maximal chain of modular flats, top-down.
 
-    Returns a ModularChain or None.  Sound because a modular flat of an
-    interval below a modular flat is modular in the whole lattice.
+    Returns a ModularChain or None.  Below a modular flat c, a flat is
+    modular in [0, c] exactly when it is modular in the whole lattice, so
+    each step tries the modular flats one rank below c: the top's by their
+    atom-label tuples, the lower ones by their sorted labels.
     """
     if lat.is_trivial:
         raise NotGeometric("supersolvability is undefined for the one-point lattice")
-    chain = _chain_search(lat)
+    chain = _chain_search(lat, lat.top, lat.atoms_of)
     if chain is None:
         return None
     j_sets = []
@@ -137,17 +129,17 @@ def is_supersolvable(lat: GeometricLattice):
     return ModularChain(tuple(chain), tuple(j_sets))
 
 
-def _chain_search(lat: GeometricLattice):
-    if lat.rank == 0:
-        return [lat.bottom]
-    if lat.rank == 1:
-        return [lat.bottom, lat.top]
-    coatoms = sorted(modular_coatoms(lat), key=lat.atoms_of)
-    for c in coatoms:
-        sub, to_parent, _ = interval(lat, lat.bottom, c)
-        subchain = _chain_search(sub)
-        if subchain is not None:
-            return [to_parent[f] for f in subchain] + [lat.top]
+def _chain_search(lat, c, key):
+    if lat.ranks[c] == 1:
+        return [lat.bottom, c]
+    masks = lat.flat_masks
+    h = masks[c]
+    below = [f for f in lat.by_rank[lat.ranks[c] - 1]
+             if masks[f] | h == h and is_modular(lat, f)]
+    for f in sorted(below, key=key):
+        chain = _chain_search(lat, f, lambda g: sorted(lat.atoms_of(g)))
+        if chain is not None:
+            return chain + [c]
     return None
 
 

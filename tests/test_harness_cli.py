@@ -7,6 +7,8 @@ import time
 
 import pytest
 
+import mdg.diagrams
+import mdg.extensions
 from mdg.cli import main as cli_main
 from mdg.harness import (
     emit_golden,
@@ -14,6 +16,7 @@ from mdg.harness import (
     run_axiom_suite,
     run_verify_qiso,
 )
+from mdg.lattice import build_partition_lattice
 
 
 def run_cli(*argv):
@@ -493,3 +496,14 @@ def test_cli_modular_supersolvable_and_koszul():
     assert code == 0 and json.loads(out) == {"supersolvable": False}
     code, out = run_cli("os", "koszul-series", "--lattice", "pi3")
     assert (code, out) == (0, "pass [1, 3, 7, 15, 31, 63, 127, 255, 511]\n")
+
+
+def test_axiom_suite_keeps_no_interval_on_entry_lattices(monkeypatch):
+    # the free-generation check builds the interval above each entry's
+    # base top for one diagram and keeps it nowhere
+    monkeypatch.setattr(mdg.diagrams, "_ALGEBRAS", {})
+    rep = run_axiom_suite(build_partition_lattice(4), 3, 2)
+    assert rep.passed
+    entries = [e for a in mdg.diagrams._ALGEBRAS.values()
+               for e in mdg.extensions._tables(a.base)[0].values()]
+    assert entries and all(e.lat._intervals is None for e in entries)

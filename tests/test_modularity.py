@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import mdg.lattice
 from mdg.corpus import (
     build_corpus_lattice,
     complete_graph_edges,
@@ -9,7 +10,7 @@ from mdg.corpus import (
     cycle_graph_edges,
     path_graph_edges,
 )
-from mdg.errors import NotGeometric, NotModular
+from mdg.errors import ForeignFlat, NotGeometric, NotModular
 from mdg.extensions import catalog
 from mdg.lattice import build_boolean, build_from_graph, interval, restriction
 from mdg.modularity import (
@@ -200,12 +201,16 @@ def _rank_form_chain(lat, opened):
     return None
 
 
-def _criterion_lattices():
+def _corpus_and_census():
     for name in corpus_names():
         yield name, build_corpus_lattice(name)
     # every simple matroid on at most 7 points, with a point pinned
     for i, entry in enumerate(catalog(build_boolean(1), 6, 6)):
         yield f"census {i}", entry.lat
+
+
+def _criterion_lattices():
+    yield from _corpus_and_census()
     rng = random.Random(2027)
     for i in range(300):
         nv = rng.randint(2, 7)
@@ -239,3 +244,47 @@ def test_modular_coatoms_agree_with_the_rank_form():
             for lo, hi in zip(masks, masks[1:])), name
     # 15 + 324 + 300 lattices and the 793 intervals the search opens
     assert (n_lattices, n_coatoms) == (1432, 12535)
+
+
+def test_the_rule_agrees_with_the_rank_form_on_every_flat():
+    # a flat is modular when it is the bottom or meets every flat of rank
+    # r + 1 - r(F), against the rank form on every flat of the corpus and
+    # of the simple matroids on at most 7 points
+    n_flats = n_modular = 0
+    for name, lat in _corpus_and_census():
+        for f in range(lat.n_flats):
+            want = _rank_form_modular(lat, f)
+            assert is_modular(lat, f) == want, (name, lat.atoms_of(f))
+            n_modular += want
+        n_flats += lat.n_flats
+    assert (n_flats, n_modular) == (14052, 4620)
+
+
+def test_chain_search_builds_no_interval(monkeypatch):
+    # the search walks the lattice itself: below a modular flat c, the
+    # flats modular in [0, c] are those modular in the lattice
+    lattices = [lat for _, lat in _corpus_and_census()]
+    built = []
+    real = mdg.lattice._interval
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+    monkeypatch.setattr(mdg.lattice, "_interval", counted)
+    chains = [is_supersolvable(lat) for lat in lattices]
+    assert built == []
+    assert sum(chain is not None for chain in chains) == 82
+
+
+def test_characterizations_agree_on_every_corpus_flat():
+    for name in corpus_names():
+        lat = build_corpus_lattice(name)
+        for f in range(lat.n_flats):
+            assert modular_characterizations_agree(lat, f), (name, f)
+
+
+def test_diamond_iso_checks_both_flats(pi4):
+    with pytest.raises(ForeignFlat):
+        diamond_iso(pi4, 0, 999)
+    with pytest.raises(ForeignFlat):
+        diamond_iso(pi4, pi4.top, -1)
