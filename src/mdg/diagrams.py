@@ -22,6 +22,7 @@ its canonical entry.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -32,13 +33,15 @@ from .errors import (
     NotContractible,
     NotGeometric,
     NotIso,
+    ResourceLimit,
 )
 from . import lattice
 from .extensions import (CatalogEntry, ModularExtension, _fresh_labels,
                          catalog, entry_for)
 from .lattice import (Embedding, GeometricLattice, _atoms_mask, _check_flats,
-                      _mask_atoms, _merge_sign, _restrict, _word_sign,
-                      interval_at, parallel_connection, same_lattice)
+                      _mask_atoms, _merge_sign, _restrict, _separators,
+                      _word_sign, interval_at, parallel_connection,
+                      same_lattice)
 from .modularity import is_modular
 from .os_algebra import OSElement, os_context
 
@@ -182,22 +185,23 @@ class DiagramAlgebra:
         sorted_word, sign = _word_sign(tuple(perm[p] for p in word))
         return sign, self._diagram(entry, sorted_word)
 
-    def _over_interval(self, entry, lo, hi, reps, word):
+    def _over_interval(self, entry, lo, hi, reps, word_mask):
         """``normalize_raw`` over [lo, hi] of the entry, base atoms at the
-        images of ``reps``, for a word holding every new atom.  The entry
-        keeps the interval until a word without repeats needs its map."""
+        images of ``reps``, for the sorted word of ``word_mask``, which
+        holds every new atom.  The first word without repeats, read off the
+        covers of lo, builds the interval; the entry keeps only its map."""
         maps, key = entry.interval_maps, (lo, hi)
         if key not in maps:
+            if _cover_repeats(entry, lo, word_mask):
+                return 0, ZERO
             # through the module, so that the builds can be counted
             sub, *_, pos = lattice._interval(entry.lat, lo, hi)
-            maps[key] = (sub, pos)
+            maps[key] = (self._entry_map(sub, tuple(pos[a] for a in reps)),
+                         pos)
         emap, pos = maps[key]
-        word = [pos[p] for p in word]
+        word = [pos[p] for p in _mask_atoms(word_mask)]
         if len(set(word)) != len(word):
             return 0, ZERO
-        if isinstance(emap, GeometricLattice):
-            emap = self._entry_map(emap, tuple(pos[a] for a in reps))
-            maps[key] = (emap, pos)
         return self._through(emap, word)
 
     def _diagram(self, entry: CatalogEntry, sorted_word):
@@ -267,7 +271,7 @@ class DiagramAlgebra:
             raise NotContractible("atom lies below the base image")
         return self._over_interval(entry, entry.atom_flats[p], entry.lat.top,
                                    range(entry.n_base),
-                                   [q for q in word if q != p])
+                                   _atoms_mask(word) ^ (1 << p))
 
     def _own(self, diag: Diagram):
         if diag.algebra is not self:
@@ -378,11 +382,9 @@ class DiagramAlgebra:
 
         Each flat f of the entry meeting the base in ``flat`` gives the pair
         of diagrams on [0, f] and [f, top].  Only the entry's live flats,
-        whose intervals both survive the factor rule, are visited, and a
-        repeated upper letter is read off the covers of f before [f, top]
-        is built; the lower word cannot repeat, its atoms being those of f.
-        The upper factor goes first, which spares the lower interval when
-        it vanishes.
+        whose intervals both survive the factor rule, are visited.  The
+        upper factor goes first, which spares the lower interval when it
+        vanishes; the lower word cannot repeat, its atoms being those of f.
         """
         base = self.base
         low_alg, low_reps = _base_factor(base, base.bottom, flat)
@@ -394,20 +396,17 @@ class DiagramAlgebra:
         word_mask = _atoms_mask(diag.word)
         for f in _live_flats(entry).get(base.flat_masks[flat], ()):
             in_mask, out_mask = word_mask & masks[f], word_mask & ~masks[f]
-            if _cover_repeats(entry, f, out_mask):
-                continue
-
             # upper factor: interval above f, base = interval above flat.
             # f meets the base in flat, so a base atom outside flat lies
             # outside f and f v a covers f.
             s_up, d_up = up_alg._over_interval(entry, f, lat.top, up_reps,
-                                               _mask_atoms(out_mask))
+                                               out_mask)
             if d_up is ZERO:
                 continue
 
             # lower factor: interval below f, base = interval below flat
             s_lo, d_lo = low_alg._over_interval(entry, lat.bottom, f,
-                                                low_reps, _mask_atoms(in_mask))
+                                                low_reps, in_mask)
             if d_lo is ZERO:
                 continue
             out.add_term(_merge_sign(in_mask, out_mask) * s_lo * s_up,
@@ -488,7 +487,7 @@ class DiagramAlgebra:
         _check_flats(self.base, grading)
         return list(self.diagrams_within(bounds).get((grading, degree), []))
 
-    def cohomology_block(self, grading: int, bounds):
+    def cohomology_block(self, grading: int, bounds, *, deadline=None):
         """Truncated cohomology of the fixed-grading subcomplex.
 
         The enumerated basis is closed under the differential: a diagram
@@ -499,7 +498,8 @@ class DiagramAlgebra:
         one, so the complex is a direct sum over the nullity of the word.
         Each (nullity, degree) cell has its own matrix, at basis positions
         in the degree, and is ranked on its own; the cell ranks sum to the
-        degree ranks.
+        degree ranks.  Past ``deadline``, a ``time.monotonic()`` instant
+        checked every 4,096 columns, ``ResourceLimit`` is raised.
         """
         from .linalg import IntegerMatrix, betti_from_ranks, rank as matrix_rank
         _check_flats(self.base, grading)
@@ -516,17 +516,21 @@ class DiagramAlgebra:
         degrees = range(min(dims), max(dims) + 1)
         cell_dims = {}
         cells = {}          # (nullity, degree) -> IntegerMatrix
-        for k in degrees:
-            for col, diag in enumerate(blocks.get(k, ())):
-                cell = (diag.nullity, k)
-                cell_dims[cell] = cell_dims.get(cell, 0) + 1
-                for d2, c in self.differential_diagram(diag).coeffs.items():
-                    assert (d2 in pos and d2.degree == k + 1
-                            and d2.grading == grading and d2.nullity == cell[0])
-                    m = cells.get(cell)
-                    if m is None:
-                        m = cells[cell] = IntegerMatrix(dims[k + 1], dims[k])
-                    m.set(pos[d2], col, c)
+        columns = (d for k in degrees for d in blocks.get(k, ()))
+        for n, diag in enumerate(columns, 1):
+            if n & 4095 == 0 and deadline is not None \
+                    and time.monotonic() > deadline:
+                raise ResourceLimit("timeout exceeded in the cohomology columns")
+            k = diag.degree
+            cell = (diag.nullity, k)
+            cell_dims[cell] = cell_dims.get(cell, 0) + 1
+            for d2, c in self.differential_diagram(diag).coeffs.items():
+                assert (d2 in pos and d2.degree == k + 1
+                        and d2.grading == grading and d2.nullity == cell[0])
+                m = cells.get(cell)
+                if m is None:
+                    m = cells[cell] = IntegerMatrix(dims[k + 1], dims[k])
+                m.set(pos[d2], pos[diag], c)
         cell_ranks = {cell: matrix_rank(m) for cell, m in cells.items()}
         ranks = dict.fromkeys(degrees, 0)
         for (_, k), r in cell_ranks.items():
@@ -545,24 +549,9 @@ class DiagramAlgebra:
 def _splits_off_base(lat, base_mask, lo, hi):
     """Whether the nontrivial interval [lo, hi] of ``lat`` (flat masks) has
     a factor whose atoms outside ``lo`` all miss ``base_mask``: every word
-    over the interval then vanishes.
-
-    Such a factor is a separator of the minor (M|hi)/lo (Oxley, *Matroid
-    Theory*, 2nd ed., 4.2): a nonempty set x of atoms outside lo and the
-    base with S = lo | x and T = hi & ~x (which holds lo) both flats and
-    r(S) + r(T) = r(lo) + r(hi).  S = hi is allowed: an interval without
-    base atoms is itself such a factor.
-    """
-    index, ranks = lat.flat_index, lat.ranks
-    total = ranks[index[lo]] + ranks[index[hi]]
-    free = hi & ~lo & ~base_mask
-    x = free
-    while x:
-        s, t = index.get(lo | x), index.get(hi & ~x)
-        if s is not None and t is not None and ranks[s] + ranks[t] == total:
-            return True
-        x = (x - 1) & free
-    return False
+    over the interval then vanishes.  An interval without base atoms is
+    itself such a factor."""
+    return any(_separators(lat, lo, hi, hi & ~lo & ~base_mask))
 
 
 def _live_flats(entry: CatalogEntry):
@@ -585,7 +574,7 @@ def _live_flats(entry: CatalogEntry):
 
 def _cover_repeats(entry: CatalogEntry, f, out_mask):
     """Whether two atoms of ``out_mask``, all outside f, lie in one cover
-    of f (a lies in f v a only): the word over [f, top] repeats a letter."""
+    of f (a lies in f v a only): a word over [f, hi] repeats a letter."""
     lat = entry.lat
     covered = 0
     for a in _mask_atoms(out_mask):

@@ -338,7 +338,8 @@ class CatalogEntry:
         self.live_flats = None  # filled by diagrams._live_flats
         self.children = None    # filled by _children
         self.coloop = None      # filled by catalog, like children
-        # (lo, hi) -> the interval, then its map; filled by diagrams
+        # (lo, hi) -> (map into the canonical entry, atom positions);
+        # filled by diagrams, never holding the interval itself
         self.interval_maps = {}
 
     @property

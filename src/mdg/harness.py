@@ -3,6 +3,7 @@ and byte-stable golden reports for the bundled corpus."""
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 import time
@@ -17,8 +18,8 @@ from .diagrams import (
     stable_degrees,
 )
 from .extensions import catalog
-from .lattice import (GeometricLattice, _atoms_mask, _interval, _restrict,
-                      interval_at)
+from .lattice import (GeometricLattice, _atoms_mask, _mask_atoms, _restrict,
+                      _separators, interval_at)
 from .modularity import (
     is_supersolvable,
     modular_characterizations_agree,
@@ -94,10 +95,10 @@ def run_verify_qiso(lat: GeometricLattice, max_new_atoms=3, max_extra_rank=2,
     """
     rep = VerificationReport(name or lat.name or "lattice",
                              (max_new_atoms, max_extra_rank))
-    start = time.monotonic()
+    deadline = None if timeout is None else time.monotonic() + timeout
 
     def check_deadline(phase):
-        if timeout is not None and time.monotonic() - start > timeout:
+        if deadline is not None and time.monotonic() > deadline:
             from .errors import ResourceLimit
             raise ResourceLimit(f"timeout exceeded during {phase}")
 
@@ -139,11 +140,12 @@ def run_verify_qiso(lat: GeometricLattice, max_new_atoms=3, max_extra_rank=2,
     t0 = time.perf_counter()
     alg = algebra_for(lat)
     # the blocks read the children this walk keeps on the base
-    catalog(alg.base, max_new_atoms + 1, max_extra_rank,
-            deadline=None if timeout is None else start + timeout)
-    lo = alg.cohomology_block(lat.top, (max_new_atoms, max_extra_rank))
+    catalog(alg.base, max_new_atoms + 1, max_extra_rank, deadline=deadline)
+    lo = alg.cohomology_block(lat.top, (max_new_atoms, max_extra_rank),
+                              deadline=deadline)
     check_deadline("cohomology at the base bounds")
-    hi = alg.cohomology_block(lat.top, (max_new_atoms + 1, max_extra_rank))
+    hi = alg.cohomology_block(lat.top, (max_new_atoms + 1, max_extra_rank),
+                              deadline=deadline)
     check_deadline("cohomology at the stability bounds")
     rep.timings["cohomology"] = time.perf_counter() - t0
     tables, rep.stabilization = stabilization_report(lo, hi)
@@ -375,38 +377,38 @@ def run_axiom_suite(lat: GeometricLattice, max_new_atoms=3, max_extra_rank=2,
     return rep
 
 
+def _new_atom_factors(entry):
+    """Each atom outside the entry's base top, mapped to the atoms of its
+    factor of [base top, top]: its least separator there."""
+    lat = entry.lat
+    lo, hi = lat.flat_masks[entry.top], lat.flat_masks[lat.top]
+    seps = tuple(_separators(lat, lo, hi, hi & ~lo))
+    return {p: min((x for x in seps if x >> p & 1), key=int.bit_count)
+            for p in _mask_atoms(hi & ~lo)}
+
+
 def _refactors(alg, diag) -> bool:
     """Check the unique factorization of a diagram into diagrams with
     irreducible extensions, by remultiplying the factors."""
     lat = diag.entry.lat
     nb = diag.entry.n_base
-    sub, _, _, pos = _interval(lat, diag.entry.top, lat.top)
-    supports = sub.factor_supports()
+    factor_of = _new_atom_factors(diag.entry)
     base_word = [p for p in diag.word if p < nb]
-    new_word = [p for p in diag.word if p >= nb]
-    if len(supports) <= 1 and not base_word:
-        return True
     factor_of_new = {}
-    for p in new_word:
-        for k, s in enumerate(supports):
-            if s >> pos[p] & 1:
-                factor_of_new.setdefault(k, []).append(p)
-                break
-    vec = None
-    for p in base_word:
-        term = Combination().add_term(1, alg.atom_diagram(alg.base.atoms[p]))
-        vec = term if vec is None else alg.product_vectors(vec, term)
-    for k in sorted(factor_of_new):
-        word = factor_of_new[k]
+    for p in diag.word[len(base_word):]:
+        factor_of_new.setdefault(factor_of[p], []).append(p)
+    if len(factor_of_new) <= 1 and not base_word:
+        return True
+    terms = [Combination().add_term(1, alg.atom_diagram(alg.base.atoms[p]))
+             for p in base_word]
+    for _, word in sorted(factor_of_new.items()):
         sub_lat, pos = _restrict(lat, (1 << nb) - 1 | _atoms_mask(word))
         s, dfac = alg.normalize_raw(sub_lat, tuple(range(nb)),
                                     tuple(pos[p] for p in word))
         if dfac is ZERO:
             return False
-        term = Combination().add_term(s, dfac)
-        vec = term if vec is None else alg.product_vectors(vec, term)
-    if vec is None:
-        return len(diag.word) == 0
+        terms.append(Combination().add_term(s, dfac))
+    vec = functools.reduce(alg.product_vectors, terms)
     target = Combination().add_term(1, diag)
     return vec == target or vec == target.scale(-1)
 

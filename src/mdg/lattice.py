@@ -102,7 +102,6 @@ class GeometricLattice:
         "bottom",
         "top",
         "_covers_up",
-        "_factor_supports",
         "_intervals",
         "_extensions",
         "_os",
@@ -130,7 +129,6 @@ class GeometricLattice:
         self.flat_masks = tuple(masks)
         self.flat_index = {m: i for i, m in enumerate(masks)}
         self._covers_up = None
-        self._factor_supports = None
         self._intervals = None  # (lo, hi) -> interval_at(self, lo, hi)
         self._extensions = None  # catalog and entry tables (extensions)
         self._os = None         # Orlik-Solomon context (os_algebra)
@@ -296,32 +294,19 @@ class GeometricLattice:
 
     def factor_supports(self):
         """Atom masks of the irreducible factors (singleton list if irreducible)."""
-        if self._factor_supports is not None:
-            return self._factor_supports
         full = (1 << self.n_atoms) - 1
-        separators = []
-        for i, m in enumerate(self.flat_masks):
-            if m == 0 or m == full:
-                continue
-            comp = full & ~m
-            j = self.flat_index.get(comp)
-            if j is None:
-                continue
-            if self.ranks[i] + self.ranks[j] == self.rank:
-                separators.append(m)
-        comps = []
+        index, ranks = self.flat_index, self.ranks
+        separators = [m for i, m in enumerate(self.flat_masks)
+                      if m not in (0, full) and full & ~m in index
+                      and ranks[i] + ranks[index[full & ~m]] == self.rank]
+        comps = set()
         for a in range(self.n_atoms):
             c = full
-            bit = 1 << a
             for s in separators:
-                if s & bit:
+                if s >> a & 1:
                     c &= s
-            comps.append(c)
-        supports = sorted(set(comps))
-        if not supports:
-            supports = [full] if self.n_atoms else [0]
-        self._factor_supports = tuple(supports)
-        return self._factor_supports
+            comps.add(c)
+        return tuple(sorted(comps)) or (full,)
 
     def circuits_masks(self):
         """All circuits as atom masks (minimal dependent sets)."""
@@ -347,6 +332,23 @@ class GeometricLattice:
         nm = self.name or "lattice"
         return (f"GeometricLattice({nm}: {self.n_atoms} atoms, "
                 f"rank {self.rank}, {self.n_flats} flats)")
+
+
+def _separators(lat: GeometricLattice, lo: int, hi: int, free: int):
+    """The separators inside ``free`` of the minor (M|hi)/lo of ``lat``
+    (flat masks ``lo`` below ``hi``), ``free`` itself first: the nonempty x
+    of atoms outside lo with S = lo | x and T = hi & ~x flats and r(S) +
+    r(T) = r(lo) + r(hi) (Oxley, *Matroid Theory*, 2nd ed., 4.2).  The
+    factors of [lo, hi] are the minimal ones.  Every submask of ``free`` is
+    tried, which suits the few new atoms of an entry interval."""
+    index, ranks = lat.flat_index, lat.ranks
+    total = ranks[index[lo]] + ranks[index[hi]]
+    x = free
+    while x:
+        s, t = index.get(lo | x), index.get(hi & ~x)
+        if s is not None and t is not None and ranks[s] + ranks[t] == total:
+            yield x
+        x = (x - 1) & free
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 from collections import Counter
 
@@ -15,6 +16,7 @@ from mdg.diagrams import (
     DiagramAlgebra,
     I_morphism,
     ZERO,
+    _cover_repeats,
     _first_atoms,
     _splits_off_base,
     algebra_for,
@@ -24,12 +26,15 @@ from mdg.diagrams import (
     determining_bounds,
     grading_component_iso,
 )
-from mdg.errors import ForeignFlat, ImproperFlat, MismatchedBase, NotGeometric
+from mdg.errors import (ForeignFlat, ImproperFlat, MismatchedBase,
+                        NotGeometric, ResourceLimit)
 from mdg.extensions import ModularExtension, catalog, identity_extension
-from mdg.harness import run_axiom_suite
+from mdg.harness import _new_atom_factors, run_axiom_suite
 from mdg.lattice import (
     Embedding,
     GeometricLattice,
+    _atoms_mask,
+    _mask_atoms,
     build_boolean,
     build_from_graph,
     build_partition_lattice,
@@ -619,8 +624,8 @@ def test_products_match_a_fresh_pushout(pi3, pi4):
 def test_structure_maps_keep_no_lattice(monkeypatch):
     # after every differential, product and coproduct of the pi4 (3,2)
     # basis on a fresh algebra, no entry lattice holds an interval, and
-    # each map a word has resolved, like each kept pushout, holds a
-    # canonical entry and atom positions, never a lattice
+    # each interval map, like each kept pushout, holds a canonical entry
+    # (or None) and atom positions, never a lattice
     monkeypatch.setattr(mdg.diagrams, "_ALGEBRAS", {})
     base = build_partition_lattice(4)
     alg = algebra_for(base)
@@ -639,11 +644,10 @@ def test_structure_maps_keep_no_lattice(monkeypatch):
             isinstance(x, tuple) and any(map(holds_lattice, x)))
     entries = [e for a in mdg.diagrams._ALGEBRAS.values()
                for e in mdg.extensions._tables(a.base)[0].values()]
-    resolved = [m for e in entries for m in e.interval_maps.values()
-                if not isinstance(m[0], GeometricLattice)]
-    assert len(mdg.diagrams._ALGEBRAS) > 1 and resolved and alg._pushout_cache
+    maps = [m for e in entries for m in e.interval_maps.values()]
+    assert len(mdg.diagrams._ALGEBRAS) > 1 and maps and alg._pushout_cache
     assert all(e.lat._intervals is None for e in entries)
-    assert not any(map(holds_lattice, resolved))
+    assert not any(map(holds_lattice, maps))
     assert not any(map(holds_lattice, alg._pushout_cache.values()))
 
 
@@ -686,6 +690,34 @@ def test_structure_maps_skip_what_they_would_throw_away(monkeypatch):
     # from the catalog's root gave 51 forms
     assert calls == {"_interval": 168, "_splits_off_base": 498,
                      "canonical_form": 50, "CatalogEntry": 36}
+
+
+def test_axiom_suite_builds_each_interval_once(monkeypatch):
+    # a cold plane8 (3,2) axiom suite at its defaults.  Pinned: the
+    # intervals built (none while every word reaching an interval repeats a
+    # letter, none for refactoring) and the canonical forms; afterwards no
+    # interval map holds a lattice.  Testing repeats on the built interval
+    # and rebuilding [base top, top] per refactoring gave 722 builds, with
+    # 206 maps holding their lattice, and the same 260 forms
+    calls = Counter()
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    monkeypatch.setattr(mdg.diagrams, "_ALGEBRAS", {})
+    count(mdg.lattice, "_interval")
+    count(mdg.extensions, "canonical_form")
+    assert run_axiom_suite(build_corpus_lattice("plane8"), 3, 2).passed
+    assert calls == {"_interval": 456, "canonical_form": 260}
+    maps = [m for a in mdg.diagrams._ALGEBRAS.values()
+            for e in mdg.extensions._tables(a.base)[0].values()
+            for m in e.interval_maps.values()]
+    assert maps and not any(isinstance(m[0], GeometricLattice) for m in maps)
 
 
 def test_normalization_and_catalog_share_entries(monkeypatch):
@@ -756,6 +788,55 @@ def test_factor_rule_on_entry_masks_matches_the_built_interval(
                     assert got == want, (entry.certificate, F, f, lo, hi)
                     seen.add(got)
     assert seen == {True, False}
+
+
+REPEAT_ORACLE = [("pi4", (3, 2)), ("plane8", (3, 2)), ("b3", (4, 2))]
+
+
+@pytest.mark.parametrize("name,bounds", REPEAT_ORACLE,
+                         ids=[n for n, _ in REPEAT_ORACLE])
+def test_cover_repeats_match_the_built_interval(name, bounds, request):
+    # the covers of an entry flat f find a repeat in a word of at most
+    # three atoms outside f exactly when two of its atoms share a position
+    # in the built [f, top]: the test that alone decides whether an
+    # interval map is built
+    base = request.getfixturevalue(name)
+    seen = set()
+    for entry in catalog(base, *bounds):
+        lat = entry.lat
+        full = lat.flat_masks[lat.top]
+        for f, m in enumerate(lat.flat_masks):
+            pos = _interval(lat, f, lat.top)[3]
+            outside = list(_mask_atoms(full & ~m))
+            for size in range(4):
+                for word in itertools.combinations(outside, size):
+                    want = len({pos[a] for a in word}) < size
+                    got = _cover_repeats(entry, f, _atoms_mask(word))
+                    assert got == want, (entry.certificate, f, word)
+                    seen.add(got)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("name", ["pi3", "pi4", "b3", "plane8"])
+def test_refactoring_factors_match_the_built_interval(name, request):
+    # each atom's factor of [base top, top], read off the entry's masks as
+    # its least separator, is the factor of the built interval holding its
+    # position, pulled back to the entry's atoms
+    base = request.getfixturevalue(name)
+    n_factors = set()
+    for entry in catalog(base, 3, 2):
+        lat = entry.lat
+        sub, _, _, pos = _interval(lat, entry.top, lat.top)
+        supports = sub.factor_supports()
+        want = {}
+        for p, i in enumerate(pos):
+            if i is not None:
+                s = next(s for s in supports if s >> i & 1)
+                want[p] = sum(1 << q for q, j in enumerate(pos)
+                              if j is not None and s >> j & 1)
+        assert _new_atom_factors(entry) == want, entry.certificate
+        n_factors.add(len(set(want.values())))
+    assert max(n_factors) > 1
 
 
 def test_bottom_grading_is_unit_only(pi3, pi4):
@@ -924,6 +1005,31 @@ def test_normalize_raw_agrees_with_diagrams_within(name, bounds, request):
     assert all(d.grading == g and d.degree == k for d, g, k, _ in listed)
     assert len(listed) == len(set(listed))
     assert set(listed) == reached
+
+
+def test_cohomology_deadline_stops_the_column_loop(monkeypatch, pi5):
+    # the pi5 (3,1) top block has 9,688 columns, so its column loop reads
+    # the clock at columns 4,096 and 8,192; a deadline passed before either
+    # read raises there, and a later call without one returns the block of
+    # a call whose deadline never passes
+    top, bounds = pi5.top, (3, 1)
+    with monkeypatch.context() as m:
+        clock = itertools.count()
+        m.setattr(mdg.diagrams.time, "monotonic", lambda: next(clock))
+        want = DiagramAlgebra(pi5).cohomology_block(top, bounds, deadline=1e9)
+        assert next(clock) == 2
+    alg = DiagramAlgebra(pi5)
+    for checks in (0, 1):
+        with monkeypatch.context() as m:
+            clock = itertools.count()
+            m.setattr(mdg.diagrams.time, "monotonic", lambda: next(clock))
+            with pytest.raises(ResourceLimit) as ex:
+                alg.cohomology_block(top, bounds, deadline=checks - 0.5)
+            assert ex.traceback[-1].name == "cohomology_block"
+            assert next(clock) == checks + 1
+    got = alg.cohomology_block(top, bounds)
+    assert (got.dims, got.ranks, got.betti, got.cell_betti) == \
+        (want.dims, want.ranks, want.betti, want.cell_betti)
 
 
 def test_exact_cell_rule_pi4(pi4):
